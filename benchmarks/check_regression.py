@@ -17,9 +17,10 @@ Two kinds of checks:
   long as they are uniformly so; only a lopsided slowdown -- the shape
   of a code regression -- trips the guard.
 
-The payloads' ``sim_backend`` fields must also agree: walls measured
-under different default cycle engines are not comparable, so a drifted
-default is reported as a failure rather than silently band-checked.
+The payloads' ``sim_backend`` and ``kernel_impl`` fields must also
+agree: walls measured under a different cycle engine, or under the
+Python kernel instead of the compiled one, are not comparable, so a
+drift is reported as a failure rather than silently band-checked.
 
 Usage::
 
@@ -40,17 +41,8 @@ def _simulator_by_benchmark(payload: Dict) -> Dict[str, Dict]:
     return {row["benchmark"]: row for row in payload.get("simulator", [])}
 
 
-#: Backends whose wall may legitimately be absent from a run: ``numpy``
-#: needs numpy installed, ``native`` needs the compiled kernel artifact
-#: (a C toolchain, or a cached build).  A baseline wall for one of these
-#: that the current environment cannot measure is *skipped with a
-#: visible notice*, never a hard failure -- toolchain-less CI legs must
-#: stay green.
-OPTIONAL_BACKENDS = ("numpy", "native")
-
-
 def compare_named(
-    baseline: Dict, current: Dict, tolerance: float, notices=None
+    baseline: Dict, current: Dict, tolerance: float
 ) -> List[Tuple[str, str]]:
     """Return ``(metric_name, message)`` failures (empty = pass).
 
@@ -58,25 +50,21 @@ def compare_named(
     ``figure_grid.cold_wall_s``) so the CI log -- and the analytics
     regression timeline, which generalizes this check -- can pinpoint
     exactly what moved, not just that something did.
-
-    ``notices``, when given, is a list that collects non-fatal skip
-    messages (e.g. a baseline ``native`` wall that this environment
-    cannot reproduce because the compiled artifact is absent).
     """
-    if notices is None:
-        notices = []
     failures: List[Tuple[str, str]] = []
     base_sim = _simulator_by_benchmark(baseline)
     cur_sim = _simulator_by_benchmark(current)
 
-    base_backend = baseline.get("sim_backend")
-    cur_backend = current.get("sim_backend")
-    if base_backend is not None and cur_backend != base_backend:
-        failures.append((
-            "sim_backend",
-            f"sim_backend: baseline measured under {base_backend!r} but "
-            f"current ran under {cur_backend!r}; walls are not comparable",
-        ))
+    for field in ("sim_backend", "kernel_impl"):
+        base_value = baseline.get(field)
+        cur_value = current.get(field)
+        if base_value is not None and cur_value != base_value:
+            failures.append((
+                field,
+                f"{field}: baseline measured under {base_value!r} but "
+                f"current ran under {cur_value!r}; walls are not "
+                "comparable",
+            ))
 
     for name, base_row in base_sim.items():
         cur_row = cur_sim.get(name)
@@ -129,13 +117,6 @@ def compare_named(
     for name, base_wall in base_walls.items():
         cur_wall = cur_walls.get(name)
         if cur_wall is None:
-            if name in OPTIONAL_BACKENDS:
-                notices.append(
-                    f"figure_grid.backend_walls_s.{name}: baseline has a "
-                    f"wall but the {name} backend is unavailable in this "
-                    "environment -- band check SKIPPED"
-                )
-                continue
             failures.append((
                 f"figure_grid.backend_walls_s.{name}",
                 f"figure_grid.backend_walls_s.{name}: missing from "
@@ -183,8 +164,7 @@ def main(argv=None) -> int:
     with open(args.current) as fh:
         current = json.load(fh)
 
-    notices: List[str] = []
-    failures = compare_named(baseline, current, args.tolerance, notices)
+    failures = compare_named(baseline, current, args.tolerance)
     base_sim = _simulator_by_benchmark(baseline)
     cur_sim = _simulator_by_benchmark(current)
     print(f"bench regression check (tolerance {args.tolerance:.0%})")
@@ -208,15 +188,8 @@ def main(argv=None) -> int:
             f"  backend_walls_s[{name}]: {base_walls.get(name)}s -> "
             f"{cur_walls.get(name)}s"
         )
-    print(
-        f"  sim_backend: {baseline.get('sim_backend')} -> "
-        f"{current.get('sim_backend')}"
-    )
-    if notices:
-        print("\nNOTICES (skipped, not failures):")
-        for message in notices:
-            print(f"  - {message}")
-
+    for field in ("sim_backend", "kernel_impl"):
+        print(f"  {field}: {baseline.get(field)} -> {current.get(field)}")
     if failures:
         print("\nREGRESSIONS:")
         for _, message in failures:

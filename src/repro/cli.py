@@ -196,14 +196,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     obs_flags.add_argument(
         "--sim-backend",
-        choices=sim_engine.SIM_BACKENDS,
         default=None,
         metavar="BACKEND",
-        help="cycle-engine backend: reference (the oracle Pipeline), "
-        "batched (merged-loop engine with shared per-trace precomputes; "
-        "default), numpy (batched + vectorized precomputes), or native "
-        "(compiled C cycle kernel; build with "
-        "`python -m repro.cpu.nativebuild`); all are bit-identical "
+        help="cycle engine: kernel (default; the compiled C kernel when "
+        "it builds or loads, else its pure-Python twin) or reference "
+        "(the oracle Pipeline, the only engine with --trace-window "
+        "microarchitectural tracing); bit-identical results "
         "(REPRO_SIM_BACKEND also selects it)",
     )
     obs_flags.add_argument(

@@ -595,9 +595,10 @@ class SimulationConfig(_Fingerprinted):
     """How much of a workload to run and how."""
 
     max_instructions: int = 400_000
-    #: Periodic sampling: fraction of the run measured in detail.  1.0
-    #: disables sampling (the default for our synthetic workloads, which are
-    #: small enough to run in full).
+    #: Periodic-sampling parameters (the paper's methodology).  No engine
+    #: samples -- the synthetic workloads are small enough to run in full
+    #: -- but the fields stay: they feed ``config_fingerprint``, which
+    #: keys the simulation caches and journals.
     sample_fraction: float = 1.0
     sample_instructions: int = 10_000_000
     warmup_fraction: float = 0.02

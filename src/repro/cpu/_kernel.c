@@ -1,12 +1,16 @@
-/* C transliteration of repro/cpu/_kernel.py (the `native` backend).
+/* C transliteration of repro/cpu/_kernel.py: the `kernel` engine runs
+ * this whenever the compiled artifact loads.
  *
  * Operates on the same marshaled form: the C_* config block, flat
  * per-instruction columns, packed cache sets, and the flattened
  * p-thread program.  Produces the same O_* counter block plus the
  * ordered missed/misspc uid streams and (on deadlock) the fetch-state
- * snapshot.  Built opportunistically by repro/cpu/nativebuild.py and
- * loaded through ctypes; every constant below must stay value-identical
- * to _kernel.py (KERNEL_ABI is checked at load time).
+ * snapshot.  The optional hook is called at the loop top on the same
+ * cycles as the Python kernel's (heartbeats, `pipeline.step` faults).
+ * Built opportunistically by repro/cpu/nativebuild.py and loaded
+ * through ctypes; every constant below must stay value-identical to
+ * _kernel.py (KERNEL_ABI is checked at load time).  The fetch line id
+ * is computed from pc here rather than read from a column.
  *
  * Data-structure substitutions vs the Python kernel, all order-proven
  * there (see its module docstring):
@@ -22,13 +26,13 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define KERNEL_ABI 1
+#define KERNEL_ABI 2
 #define NOT_DONE (-1LL)
 #define NO_FILL (1LL << 62)
 
 enum { K_ALU, K_MUL, K_LOAD, K_STORE, K_BRANCH, K_NOP };
 enum { CTRL_NONE, CTRL_BRANCH, CTRL_JUMP };
-enum { STATUS_OK, STATUS_DEADLOCK, STATUS_SAFETY };
+enum { STATUS_OK, STATUS_DEADLOCK, STATUS_SAFETY, STATUS_HOOK };
 
 enum {
     F_RETRY = 1, F_L1_HIT = 2, F_L2_ACC = 4, F_MEM_ACC = 8,
@@ -54,6 +58,7 @@ enum {
     C_MSHR_ENTRIES, C_MEMORY_LATENCY,
     C_L2BUS_CYC_DLINE, C_L2BUS_CYC_ILINE, C_MEMBUS_CYC_L2LINE,
     C_N_SPAWNS, C_N_PINSTS, C_DEP_LEN, C_LIVE_LEN,
+    C_HOOK_INTERVAL,
     C_LEN,
 };
 
@@ -76,7 +81,7 @@ enum {
 
 /* int64 input-pointer table -- order matches kerneldriver._run_native. */
 enum {
-    I_PC, I_ADDR, I_SRC1, I_SRC2, I_NEXT_PC, I_LINE,
+    I_PC, I_ADDR, I_SRC1, I_SRC2, I_NEXT_PC,
     I_SP_TRIGGER, I_SP_STATIC, I_SP_INST_LO, I_SP_INST_HI,
     I_PI_ADDR, I_PI_HINT_SEQ, I_PI_DEP_LO, I_PI_DEP_HI, I_DEP_FLAT,
     I_PI_LIVE_LO, I_PI_LIVE_HI, I_LIVE_FLAT,
@@ -494,6 +499,10 @@ static void arena_free(Arena *a) {
     for (int i = 0; i < a->n; i++) free(a->ptrs[i]);
 }
 
+/* Loop-boundary callback: hook(now, committed, spawns_started).  A
+ * nonzero return ends the run with STATUS_HOOK. */
+typedef int64_t (*KernelHook)(int64_t, int64_t, int64_t);
+
 int repro_kernel_run(
     int64_t *cfg,
     int64_t **I,
@@ -501,7 +510,8 @@ int repro_kernel_run(
     int64_t *out,
     int64_t *missed_out,
     int64_t *misspc_out,
-    int64_t *fa_out
+    int64_t *fa_out,
+    KernelHook hook
 ) {
     Arena ar = { {0}, 0 };
 #define ALLOC64(var, count) \
@@ -547,7 +557,6 @@ int repro_kernel_run(
     const int64_t *src1_arr = I[I_SRC1];
     const int64_t *src2_arr = I[I_SRC2];
     const int64_t *next_pc_arr = I[I_NEXT_PC];
-    const int64_t *line_arr = I[I_LINE];
     const int64_t *sp_trigger = I[I_SP_TRIGGER];
     const int64_t *sp_static = I[I_SP_STATIC];
     const int64_t *sp_inst_lo = I[I_SP_INST_LO];
@@ -760,6 +769,12 @@ int repro_kernel_run(
 
     int64_t n_missed = 0, n_misspc = 0;
     int64_t status = STATUS_OK, n_fa = 0;
+    const int64_t hook_interval = cfg[C_HOOK_INTERVAL];
+    int64_t hook_next = 0;
+
+    /* Fetch line id of main instruction i (the Python kernel reads the
+     * same value from its precomputed line column). */
+#define LINE_OF(i_) ((pc_arr[i_] * inst_bytes) >> line_shift)
 
     /* attribute_cycles(n, retired) -- written as a macro so the stall
      * classification reads the live loop locals, exactly like the
@@ -826,6 +841,13 @@ int repro_kernel_run(
     } while (0)
 
     while (committed < n_main) {
+        if (hook && now >= hook_next) {
+            if (hook(now, committed, st_spawns_started)) {
+                status = STATUS_HOOK;
+                break;
+            }
+            hook_next = now + hook_interval;
+        }
         /* ---- wakeup ------------------------------------------- */
         if (n_events_t1) {
             for (int64_t i = 0; i < n_events_t1; i++) {
@@ -1191,7 +1213,7 @@ int repro_kernel_run(
                 }
             }
             if (fetch_ok && now >= fetch_hold_until && next_seq < n_main) {
-                int64_t line = line_arr[next_seq];
+                int64_t line = LINE_OF(next_seq);
                 int line_miss = 0;
                 if (line != fetch_line) {
                     int64_t r = inst_fetch(&mem, pc_arr[next_seq]
@@ -1213,7 +1235,7 @@ int repro_kernel_run(
                     while (fetched < width && next_seq < n_main
                            && fp_len < pipe_capacity) {
                         int64_t idx = next_seq;
-                        if (line_arr[idx] != fetch_line) break;
+                        if (LINE_OF(idx) != fetch_line) break;
                         frontend_pipe[fp_tail_i] = dispatch_at;
                         fp_tail_i = fp_tail_i + 1 == fp_cap
                             ? 0 : fp_tail_i + 1;

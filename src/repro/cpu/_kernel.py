@@ -1,35 +1,56 @@
 """The self-contained cycle kernel: flat arrays and scalars only.
 
-This module is the extraction target of the ``native`` backend work: the
-merged event-driven loop of :mod:`repro.cpu.batch` rewritten to operate
-on nothing but integers -- flat per-instruction columns, packed cache
-sets, scalar bus/TLB/MSHR state.  No ``Trace``, ``MachineConfig``,
-``PThreadProgram`` or hierarchy objects appear inside the loop; the
-driver (:mod:`repro.cpu.kerneldriver`) marshals them into the arrays
-below and unmarshals the counter block back into ``SimStats``.
+The ``kernel`` engine's cycle loop: the reference
+:class:`~repro.cpu.pipeline.Pipeline` stages merged into one
+event-driven loop that operates on nothing but integers -- flat
+per-instruction columns, packed cache sets, scalar bus/TLB/MSHR state.
+No ``Trace``, ``MachineConfig``, ``PThreadProgram`` or hierarchy
+objects appear inside the loop; the driver
+(:mod:`repro.cpu.kerneldriver`) marshals them into the arrays below and
+unmarshals the counter block back into ``SimStats``.
 
 Two interchangeable implementations exist:
 
-- this file, pure CPython -- the ``batched``/``numpy`` engines run it,
-  and it is the fallback for ``native`` when no compiled artifact can be
-  built;
 - ``_kernel.c``, a direct C transliteration loaded through ``ctypes``
-  (:mod:`repro.cpu.nativebuild`) -- the ``native`` engine.
+  (:mod:`repro.cpu.nativebuild`), which runs whenever the compiled
+  artifact loads;
+- this file, pure CPython, which runs otherwise (no C compiler, or
+  ``REPRO_NATIVE=0``).
 
 Both consume the same marshaled form (the ``C_*`` config block and the
 flat columns) and produce the same ``O_*`` counter block plus ordered
-event streams, and both are gated on bit-identical ``SimStats`` by
-``tests/cpu/test_golden_sim_backends.py``.  The ABI version below is
-embedded in the compiled artifact and checked at load time.
+event streams, and both are gated on bit-identical ``SimStats`` against
+the reference by ``tests/cpu/test_golden_sim_backends.py``.  The ABI
+version below is embedded in the compiled artifact and checked at load
+time.
 
-Semantics notes carried over from ``cpu/batch.py`` (see its docstrings
-for the derivations):
+Instrumentation enters through one optional callback,
+``hook(now, committed, spawns_started) -> int``, called at the loop top
+when ``now >= hook_next`` (first at cycle 0, then re-armed to ``now +
+cfg[C_HOOK_INTERVAL]``) -- the cycles at which the reference samples
+its ``pipeline.step`` fault site.  A nonzero return ends the run with
+``STATUS_HOOK``; the driver emits heartbeats and draws faults inside the
+callback, since an exception cannot cross the C boundary.
+
+Semantics notes (each is an equivalence with the reference engine):
 
 - wakeup waiter order is free: each wakeup independently decrements a
   pending counter and the ready list is sorted before issue;
 - the ``events_t1`` side list bypasses the completion heap for
   ``now + 1`` completions, which are always drained before any jump
   logic can observe the heap;
+- NOPs complete at dispatch and never enter the event heap: dispatch is
+  in-order, so any reader dispatches later and sees the completion
+  already set (the reference's next-cycle event wakes nobody);
+- the idle jump skips *stale* candidates (a frontend-pipe head whose
+  ready time has passed but which is blocked on ROB/RS/registers).  A
+  structurally-blocked stage can only unblock through commit or issue,
+  and with the ready list empty both first require a completion event,
+  so when no load is MSHR-deferred the loop jumps straight to the
+  earliest future event and attributes the skipped cycles identically.
+  With a deferred load it steps cycle by cycle like the reference: a
+  store-allocated MSHR can expire with no completion event, and the
+  deferred load's per-cycle retry may succeed in between;
 - MSHR expiry installs fills in insertion order (the dict preserves it
   here; the C mirror keeps its entry array insertion-ordered);
 - ``l2_misses_by_pc`` insertion order is preserved by returning demand
@@ -39,11 +60,11 @@ for the derivations):
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 #: Bumped whenever the marshaled layout (C_*/O_* blocks, array meanings,
 #: packing) changes; the compiled artifact must report the same value.
-KERNEL_ABI = 1
+KERNEL_ABI = 2
 
 NOT_DONE = -1
 
@@ -116,8 +137,10 @@ CTRL_NONE, CTRL_BRANCH, CTRL_JUMP = range(3)
     C_N_PINSTS,
     C_DEP_LEN,
     C_LIVE_LEN,
+    # loop-boundary hook re-arm interval (cycles)
+    C_HOOK_INTERVAL,
     C_LEN,
-) = range(59)
+) = range(60)
 
 # ------------------------------------------------------------------ #
 # out block indices.
@@ -175,7 +198,7 @@ CTRL_NONE, CTRL_BRANCH, CTRL_JUMP = range(3)
 ) = range(49)
 
 #: O_STATUS values.
-STATUS_OK, STATUS_DEADLOCK, STATUS_SAFETY = range(3)
+STATUS_OK, STATUS_DEADLOCK, STATUS_SAFETY, STATUS_HOOK = range(4)
 
 #: Access-result flag bits (packed as ``complete_at << 8 | flags``).
 F_RETRY, F_L1_HIT, F_L2_ACC, F_MEM_ACC, F_MERGED, F_MERGED_PF, F_PF_HIT = (
@@ -221,6 +244,7 @@ def run(
     pi_live_lo,
     pi_live_hi,
     live_flat,
+    hook=None,
 ) -> Tuple[List[int], List[int], List[int], List[Tuple[int, ...]]]:
     """Run one timing simulation over the marshaled flat state.
 
@@ -570,7 +594,15 @@ def run(
         else:
             sl_exec += slots
 
+    hook_interval = cfg[C_HOOK_INTERVAL]
+    hook_next = 0
+
     while committed < n_main:
+        if hook is not None and now >= hook_next:
+            if hook(now, committed, st_spawns_started):
+                status = STATUS_HOOK
+                break
+            hook_next = now + hook_interval
         # ---- wakeup ---------------------------------------------- #
         if events_t1:
             for uid in events_t1:
@@ -823,7 +855,7 @@ def run(
                     ready_append(seq)
             else:
                 # NOPs complete instantly and can never have waiters
-                # (dispatch is in-order; see cpu/batch.py).
+                # (dispatch is in-order; see the module docstring).
                 completion[seq] = now
             if has_spawns:
                 while sp_next < n_spawns and sp_trigger[sp_next] <= seq:
@@ -1087,8 +1119,8 @@ def run(
             now += 1
             continue
 
-        # Nothing can happen until the next event: jump (see
-        # cpu/batch.py for the stale-candidate derivation).
+        # Nothing can happen until the next event: jump (see the
+        # module docstring for the stale-candidate derivation).
         if not deferred:
             candidates: List[int] = []
             if completion_events:

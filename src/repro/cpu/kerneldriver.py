@@ -1,26 +1,37 @@
-"""Marshal/unmarshal driver for the extracted cycle kernel.
+"""Marshal/unmarshal driver for the cycle kernel (the ``kernel`` engine).
 
-Sits between :func:`repro.cpu.batch.simulate_fast` (which routes every
-uninstrumented run here) and the two kernel implementations -- the pure
-CPython :func:`repro.cpu._kernel.run` and its compiled C mirror loaded
-by :mod:`repro.cpu.nativebuild`.  All object traffic stops at this
-boundary: the driver flattens the trace columns, machine config,
-p-thread program and warmed cache image into the kernel's ``C_*``
-config block and flat arrays, and rebuilds ``SimStats`` (and the
+:func:`repro.cpu.pipeline.simulate` routes every run here unless the
+``reference`` engine is selected or microarchitectural tracing is on.
+The driver runs the compiled C kernel when
+:func:`repro.cpu.nativebuild.load` returns a library and the pure
+CPython :func:`repro.cpu._kernel.run` otherwise, so which one runs
+follows whether the artifact loads, not an option.  All object traffic
+stops at this boundary: the driver flattens the trace columns, machine
+config, p-thread program and warmed cache image into the kernel's
+``C_*`` config block and flat arrays, and rebuilds ``SimStats`` (and the
 byte-identical error objects) from the ``O_*`` counter block and
 ordered event streams the kernel returns.
 
-Marshaled forms are memoized on ``trace.derived["simprep"]`` next to
-the existing batch-engine precomputes (and *derived from* them, so the
-branch-predictor replay, BTB replay and warm-up replay still run once
-per trace regardless of backend):
+Instrumentation is engine-neutral: progress heartbeats
+(``sim_heartbeat``, when debug telemetry or a tap is on) and the
+``pipeline.step`` fault site run in :class:`repro.cpu.pipeline.LoopHook`,
+which both kernels -- and the reference -- call at the loop top on the
+same cycles.  An injected fault cannot propagate through a ctypes
+callback, so the hook stashes it, returns nonzero to stop the kernel,
+and the driver re-raises it.
 
-- ``("kwarm", icache, dcache, l2)`` -- packed ``tag << 1 | dirty``
-  per-set lists for the Python kernel;
-- ``("kcols",)``, ``("kline", shift)``, ``("kpred", entries)``,
-  ``("kbtb", bpred, btb)``, ``("kcwarm", ...)``, ``("kscratch",)`` --
-  ``array('q')``/``bytes`` forms and output scratch buffers for the C
-  kernel.
+Marshaled forms are memoized on ``trace.derived["simprep"]`` next to the
+shared precomputes of :mod:`repro.cpu.batch` (branch-predictor and BTB
+columns, one byte per instruction, read by both kernels):
+
+- Python kernel: ``("lines", shift)`` and ``("kwarm", icache, dcache,
+  l2)`` -- packed ``tag << 1 | dirty`` per-set lists;
+- C kernel: ``("kcols",)`` -- kind/ctrl/writes bytes -- and
+  ``("kcwarm", ...)`` -- flat ``ways``/``occ`` arrays.  The int64
+  ``pc``/``addr``/``src1``/``src2``/``next_pc`` columns and the
+  ``taken`` column are the trace's sealed columns, passed without a
+  copy.  Output buffers are allocated per call: the C call releases the
+  GIL, and concurrent simulations may share a trace.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from repro.cpu import pipeline as _ref
 from repro.cpu._kernel import (
     O_LEN,
     STATUS_DEADLOCK,
+    STATUS_HOOK,
     STATUS_OK,
     STATUS_SAFETY,
 )
@@ -59,7 +71,12 @@ assert K.NOT_DONE == _ref._NOT_DONE
 
 
 class _FlatPThreads:
-    """A PThreadProgram flattened to spawn/p-inst index arrays."""
+    """A PThreadProgram flattened to spawn/p-inst index arrays.
+
+    Built directly as ``array('q')`` / ``bytearray`` columns: the C
+    kernel reads them in place, and an augmented run can carry ~10^5
+    p-instructions, whose list-of-int form would dwarf the arrays.
+    """
 
     __slots__ = (
         "sp_trigger", "sp_static", "sp_inst_lo", "sp_inst_hi",
@@ -77,20 +94,20 @@ class _FlatPThreads:
             for _, group in sorted(pth.spawns_by_trigger.items())
             for spawn in group
         ]
-        self.sp_trigger: List[int] = []
-        self.sp_static: List[int] = []
-        self.sp_inst_lo: List[int] = []
-        self.sp_inst_hi: List[int] = []
-        self.pi_kind: List[int] = []
-        self.pi_addr: List[int] = []
-        self.pi_hint_seq: List[int] = []
-        self.pi_hint_taken: List[int] = []
-        self.pi_dep_lo: List[int] = []
-        self.pi_dep_hi: List[int] = []
-        self.dep_flat: List[int] = []
-        self.pi_live_lo: List[int] = []
-        self.pi_live_hi: List[int] = []
-        self.live_flat: List[int] = []
+        self.sp_trigger = array("q")
+        self.sp_static = array("q")
+        self.sp_inst_lo = array("q")
+        self.sp_inst_hi = array("q")
+        self.pi_kind = bytearray()
+        self.pi_addr = array("q")
+        self.pi_hint_seq = array("q")
+        self.pi_hint_taken = bytearray()
+        self.pi_dep_lo = array("q")
+        self.pi_dep_hi = array("q")
+        self.dep_flat = array("q")
+        self.pi_live_lo = array("q")
+        self.pi_live_hi = array("q")
+        self.live_flat = array("q")
         kind_of = _ref._PCLASS_TO_KIND
         for spawn in spawns:
             self.sp_trigger.append(spawn.trigger_seq)
@@ -122,6 +139,7 @@ def _cfg_block(
     has_spawns: bool,
     has_hints: bool,
     use_btb_col: bool,
+    hook_interval: int,
 ) -> List[int]:
     c = [0] * K.C_LEN
     c[K.C_N_MAIN] = n_main
@@ -182,72 +200,45 @@ def _cfg_block(
     c[K.C_N_PINSTS] = len(flat.pi_kind)
     c[K.C_DEP_LEN] = len(flat.dep_flat)
     c[K.C_LIVE_LEN] = len(flat.live_flat)
+    c[K.C_HOOK_INTERVAL] = hook_interval
     return c
 
 
-def _warm_packed(trace: Trace, cfg: MachineConfig) -> Tuple:
+def _packed_warm(trace: Trace, cfg: MachineConfig) -> Tuple:
     """Warm image as packed ``tag << 1 | dirty`` per-set lists."""
+    return tuple(
+        [[tag << 1 | (1 if dirty else 0) for tag, dirty in ways]
+         for ways in sets]
+        for sets in _batch._warm_sets(trace, cfg)
+    )
+
+
+def _py_warm(trace: Trace, cfg: MachineConfig) -> Tuple:
+    """The packed warm image, memoized for the Python kernel."""
     store = _batch._prep_store(trace)
     key = ("kwarm", cfg.icache, cfg.dcache, cfg.l2)
     image = store.get(key)
     if image is None:
-        image = tuple(
-            [
-                [entry[0] << 1 | (1 if entry[1] else 0) for entry in ways]
-                for ways in sets
-            ]
-            for sets in _batch._warm_image(trace, cfg)
-        )
+        image = _packed_warm(trace, cfg)
         store[key] = image
     return image
 
 
 # ------------------------------------------------------------------ #
-# C-kernel marshaling (array('q') / bytes forms + scratch buffers).
+# C-kernel marshaling.
 # ------------------------------------------------------------------ #
 
 
-def _c_columns(trace: Trace) -> Tuple:
+def _c_columns(trace: Trace) -> Tuple[bytes, bytes, bytes]:
+    """kind/ctrl/writes as one byte per instruction."""
     store = _batch._prep_store(trace)
     key = ("kcols",)
     cols = store.get(key)
     if cols is None:
-        view = _ref._pipeline_view(trace)
-        (kind_arr, ctrl_arr, writes_arr, pc_arr, addr_arr, src1_arr,
-         src2_arr, taken_arr, next_pc_arr) = view
-        cols = (
-            bytes(bytearray(kind_arr)),
-            bytes(bytearray(ctrl_arr)),
-            bytes(bytearray(1 if w else 0 for w in writes_arr)),
-            bytes(bytearray(1 if t else 0 for t in taken_arr)),
-            array("q", pc_arr),
-            array("q", addr_arr),
-            array("q", src1_arr),
-            array("q", src2_arr),
-            array("q", next_pc_arr),
-        )
+        kind_arr, ctrl_arr, writes_arr = _ref._pipeline_view(trace)[:3]
+        cols = (bytes(kind_arr), bytes(ctrl_arr), bytes(writes_arr))
         store[key] = cols
     return cols
-
-
-def _c_line(trace: Trace, line_arr: List[int], line_shift: int) -> array:
-    store = _batch._prep_store(trace)
-    key = ("kline", line_shift)
-    col = store.get(key)
-    if col is None:
-        col = array("q", line_arr)
-        store[key] = col
-    return col
-
-
-def _c_pred(trace: Trace, pred_arr: List[bool], entries: int) -> bytes:
-    store = _batch._prep_store(trace)
-    key = ("kpred", entries)
-    col = store.get(key)
-    if col is None:
-        col = bytes(bytearray(pred_arr))
-        store[key] = col
-    return col
 
 
 def _c_warm(trace: Trace, cfg: MachineConfig) -> Tuple:
@@ -256,16 +247,16 @@ def _c_warm(trace: Trace, cfg: MachineConfig) -> Tuple:
     key = ("kcwarm", cfg.icache, cfg.dcache, cfg.l2)
     image = store.get(key)
     if image is None:
-        packed = _warm_packed(trace, cfg)
         parts = []
-        for sets, cc in zip(packed, (cfg.icache, cfg.dcache, cfg.l2)):
+        for sets, cc in zip(
+            _packed_warm(trace, cfg), (cfg.icache, cfg.dcache, cfg.l2)
+        ):
             assoc = cc.assoc
             ways = array("q", bytes(8 * cc.n_sets * assoc))
             occ = array("q", bytes(8 * cc.n_sets))
             for index, entries in enumerate(sets):
                 base = index * assoc
-                for i, e in enumerate(entries):
-                    ways[base + i] = e
+                ways[base: base + len(entries)] = array("q", entries)
                 occ[index] = len(entries)
             parts.append(ways)
             parts.append(occ)
@@ -274,17 +265,21 @@ def _c_warm(trace: Trace, cfg: MachineConfig) -> Tuple:
     return image
 
 
-def _c_scratch(trace: Trace, n_main: int) -> Tuple[array, array]:
-    store = _batch._prep_store(trace)
-    key = ("kscratch",)
-    bufs = store.get(key)
-    if bufs is None:
-        bufs = (
-            array("q", bytes(8 * (n_main + 1))),
-            array("q", bytes(8 * (n_main + 1))),
+def _address(col, itemsize: int = 8) -> int:
+    """Base address of a contiguous ``array``/NumPy column whose items
+    are ``itemsize`` bytes (the width the kernel reads them at)."""
+    if isinstance(col, array):
+        if col.itemsize != itemsize:
+            raise ValueError(
+                f"column typecode {col.typecode!r} is not {itemsize} bytes"
+            )
+        return col.buffer_info()[0]
+    if col.itemsize != itemsize or not col.flags.c_contiguous:
+        raise ValueError(
+            f"column must be contiguous with {itemsize}-byte items, got "
+            f"{col.dtype} (contiguous={col.flags.c_contiguous})"
         )
-        store[key] = bufs
-    return bufs
+    return col.ctypes.data
 
 
 def _run_native(
@@ -293,10 +288,10 @@ def _run_native(
     cfg: MachineConfig,
     cfg_block: List[int],
     flat: _FlatPThreads,
-    line_arr: List[int],
-    pred_arr: List[bool],
-    btb_col: Optional[bytearray],
+    pred_b: bytes,
+    btb_b: bytes,
     do_warm: bool,
+    hook: Optional[_ref.LoopHook],
 ):
     import ctypes
 
@@ -304,34 +299,23 @@ def _run_native(
 
     n_main = cfg_block[K.C_N_MAIN]
     n_spawns = cfg_block[K.C_N_SPAWNS]
-    (kind_b, ctrl_b, writes_b, taken_b, pc_a, addr_a, src1_a, src2_a,
-     next_pc_a) = _c_columns(trace)
-    line_a = _c_line(trace, line_arr, cfg_block[K.C_LINE_SHIFT])
-    pred_b = _c_pred(trace, pred_arr, cfg.bpred_entries) if n_main else b""
-    btb_b = bytes(btb_col) if btb_col is not None else b""
+    kind_b, ctrl_b, writes_b = _c_columns(trace)
+    columns = trace.columns
     if do_warm:
         warm = _c_warm(trace, cfg)
     else:
         warm = (None,) * 6
 
-    sp_trigger = array("q", flat.sp_trigger)
-    sp_static = array("q", flat.sp_static)
-    sp_inst_lo = array("q", flat.sp_inst_lo)
-    sp_inst_hi = array("q", flat.sp_inst_hi)
-    pi_addr = array("q", flat.pi_addr)
-    pi_hint_seq = array("q", flat.pi_hint_seq)
-    pi_dep_lo = array("q", flat.pi_dep_lo)
-    pi_dep_hi = array("q", flat.pi_dep_hi)
-    dep_flat = array("q", flat.dep_flat)
-    pi_live_lo = array("q", flat.pi_live_lo)
-    pi_live_hi = array("q", flat.pi_live_hi)
-    live_flat = array("q", flat.live_flat)
-    pi_kind_b = bytes(bytearray(flat.pi_kind))
-    pi_hint_taken_b = bytes(bytearray(flat.pi_hint_taken))
+    pi_kind_b = bytes(flat.pi_kind)
+    pi_hint_taken_b = bytes(flat.pi_hint_taken)
 
-    out = array("q", bytes(8 * O_LEN))
-    missed_out, misspc_out = _c_scratch(trace, n_main)
-    fa_out = array("q", bytes(8 * (6 * n_spawns + 8)))
+    # Each miss stream holds a main-thread load at most once.
+    n_loads = kind_b.count(K.K_LOAD)
+    zero = array("q", [0])
+    out = zero * O_LEN
+    missed_out = zero * (n_loads + 1)
+    misspc_out = zero * (n_loads + 1)
+    fa_out = zero * (6 * n_spawns + 8)
     cfg_a = array("q", cfg_block)
 
     i64p = ctypes.POINTER(ctypes.c_int64)
@@ -340,7 +324,7 @@ def _run_native(
     def ip(arr):
         if arr is None or not len(arr):
             return ctypes.cast(None, i64p)
-        return ctypes.cast(arr.buffer_info()[0], i64p)
+        return ctypes.cast(_address(arr), i64p)
 
     # bytes objects are read-only buffers the kernel never writes: take
     # their addresses zero-copy via c_char_p.
@@ -350,22 +334,32 @@ def _run_native(
         return ctypes.cast(ctypes.c_char_p(buf), u8p)
 
     i_tbl = (i64p * nativebuild.I_LEN)(
-        ip(pc_a), ip(addr_a), ip(src1_a), ip(src2_a), ip(next_pc_a),
-        ip(line_a),
-        ip(sp_trigger), ip(sp_static), ip(sp_inst_lo), ip(sp_inst_hi),
-        ip(pi_addr), ip(pi_hint_seq),
-        ip(pi_dep_lo), ip(pi_dep_hi), ip(dep_flat),
-        ip(pi_live_lo), ip(pi_live_hi), ip(live_flat),
+        ip(columns.pc), ip(columns.addr), ip(columns.src1),
+        ip(columns.src2), ip(columns.next_pc),
+        ip(flat.sp_trigger), ip(flat.sp_static), ip(flat.sp_inst_lo),
+        ip(flat.sp_inst_hi), ip(flat.pi_addr), ip(flat.pi_hint_seq),
+        ip(flat.pi_dep_lo), ip(flat.pi_dep_hi), ip(flat.dep_flat),
+        ip(flat.pi_live_lo), ip(flat.pi_live_hi), ip(flat.live_flat),
         ip(warm[0]), ip(warm[1]), ip(warm[2]),
         ip(warm[3]), ip(warm[4]), ip(warm[5]),
     )
+    taken_p = (
+        ctypes.cast(_address(columns.taken, 1), u8p)
+        if n_main
+        else ctypes.cast(None, u8p)
+    )
     b_tbl = (u8p * nativebuild.B_LEN)(
-        bpz(kind_b), bpz(ctrl_b), bpz(writes_b), bpz(taken_b),
+        bpz(kind_b), bpz(ctrl_b), bpz(writes_b), taken_p,
         bpz(pred_b), bpz(btb_b), bpz(pi_kind_b), bpz(pi_hint_taken_b),
+    )
+    # The callback object must outlive the call; KernelHook() is NULL.
+    callback = (
+        nativebuild.KernelHook(hook) if hook is not None
+        else nativebuild.KernelHook()
     )
     rc = lib.repro_kernel_run(
         ip(cfg_a), i_tbl, b_tbl, ip(out), ip(missed_out), ip(misspc_out),
-        ip(fa_out),
+        ip(fa_out), callback,
     )
     if rc != 0:
         raise MemoryError(f"native kernel failed to allocate (rc={rc})")
@@ -388,66 +382,54 @@ def simulate_kernel(
     config: Optional[MachineConfig] = None,
     pthreads: Optional[PThreadProgram] = None,
     warm: bool = True,
-    vector: bool = False,
-    native: bool = False,
 ) -> SimStats:
-    """Run one timing simulation through the extracted kernel.
+    """Run one timing simulation on the cycle kernel.
 
-    Bit-identical drop-in for :func:`repro.cpu.batch.simulate_fast`;
-    ``native=True`` runs the compiled C kernel (falling back to the
-    Python kernel only if the artifact cannot be loaded, which
-    :mod:`repro.cpu.engine` prevents by gating backend selection).
+    Bit-identical drop-in for the reference
+    :meth:`repro.cpu.pipeline.Pipeline.run`: the compiled C kernel runs
+    when its artifact loads, the Python kernel otherwise.
     """
+    from repro.cpu import nativebuild
+
     cfg = config or MachineConfig()
     pth = pthreads or PThreadProgram()
     wall_start = time.perf_counter()
     n_main = len(trace)
 
-    view = _ref._pipeline_view(trace)
-    (kind_arr, ctrl_arr, writes_arr, pc_arr, addr_arr, src1_arr,
-     src2_arr, taken_arr, next_pc_arr) = view
-    line_shift = cfg.icache.line_bytes.bit_length() - 1
-    line_arr = _batch._line_column(trace, line_shift, vector) if n_main else []
-    pred_arr = (
-        _batch._pred_column(trace, cfg.bpred_entries, vector) if n_main else []
-    )
+    pred_b = _batch._pred_column(trace, cfg.bpred_entries) if n_main else b""
     has_spawns = bool(pth.spawns_by_trigger)
     has_hints = has_spawns and _batch._has_branch_hints(pth)
     use_btb_col = bool(n_main and not has_hints)
-    btb_col = (
-        _batch._btb_column(trace, cfg.bpred_entries, cfg.btb_entries, vector)
+    btb_b = (
+        _batch._btb_column(trace, cfg.bpred_entries, cfg.btb_entries)
         if use_btb_col
-        else None
+        else b""
     )
     flat = _FlatPThreads(pth)
     do_warm = bool(warm and n_main)
+    hook = _ref.loop_hook(n_main)
     cfg_block = _cfg_block(
-        cfg, n_main, flat, do_warm, has_spawns, has_hints, use_btb_col
+        cfg, n_main, flat, do_warm, has_spawns, has_hints, use_btb_col,
+        hook.interval if hook is not None else 0,
     )
 
-    lib = None
-    if native:
-        from repro.cpu import nativebuild
-
-        lib = nativebuild.load()
+    lib = nativebuild.load()
     if lib is not None:
         out, missed, misspc, dead_fa = _run_native(
-            lib, trace, cfg, cfg_block, flat, line_arr, pred_arr, btb_col,
-            do_warm,
+            lib, trace, cfg, cfg_block, flat, pred_b, btb_b, do_warm, hook,
         )
-        if do_warm:
-            _batch._WARM_RESTORES.add()
     else:
+        view = _ref._pipeline_view(trace)
+        line_shift = cfg_block[K.C_LINE_SHIFT]
+        line_arr = _batch._line_column(trace, line_shift) if n_main else []
         if do_warm:
-            warm_ic, warm_dc, warm_l2 = _warm_packed(trace, cfg)
-            _batch._WARM_RESTORES.add()
+            warm_ic, warm_dc, warm_l2 = _py_warm(trace, cfg)
         else:
             warm_ic = warm_dc = warm_l2 = ()
         out, missed, misspc, dead_fa = _kernel.run(
             cfg_block,
-            kind_arr, ctrl_arr, writes_arr, pc_arr, addr_arr,
-            src1_arr, src2_arr, taken_arr, next_pc_arr,
-            line_arr, pred_arr, btb_col,
+            *view,
+            line_arr, pred_b, btb_b if use_btb_col else None,
             warm_ic, warm_dc, warm_l2,
             flat.sp_trigger, flat.sp_static, flat.sp_inst_lo,
             flat.sp_inst_hi,
@@ -455,11 +437,17 @@ def simulate_kernel(
             flat.pi_hint_taken,
             flat.pi_dep_lo, flat.pi_dep_hi, flat.dep_flat,
             flat.pi_live_lo, flat.pi_live_hi, flat.live_flat,
+            hook=hook,
         )
+    if do_warm:
+        _batch._WARM_RESTORES.add()
 
     status = out[K.O_STATUS]
     now = out[K.O_CYCLES]
     committed = out[K.O_COMMITTED]
+    pc_col = trace.columns.pc
+    if status == STATUS_HOOK:
+        raise hook.error
     if status == STATUS_SAFETY:
         safety_limit = 400 * n_main + 10_000_000
         raise ExecutionError(
@@ -468,10 +456,9 @@ def simulate_kernel(
         )
     if status == STATUS_DEADLOCK:
         raise _rebuild_deadlock(
-            out, dead_fa, n_main, pc_arr, kind_arr
+            out, dead_fa, n_main, pc_col, _ref._pipeline_view(trace)[0]
         )
     assert status == STATUS_OK
-
     stats = SimStats()
     stats.cycles = now
     stats.committed = committed
@@ -521,7 +508,7 @@ def simulate_kernel(
     stats.missed_load_seqs.update(missed)
     misses_by_pc = stats.l2_misses_by_pc
     for uid in misspc:
-        pc = pc_arr[uid]
+        pc = int(pc_col[uid])
         misses_by_pc[pc] = misses_by_pc.get(pc, 0) + 1
 
     wall_s = time.perf_counter() - wall_start
@@ -564,7 +551,7 @@ def _rebuild_deadlock(
         done_at = out[K.O_DEAD_HEAD_DONE]
         rob_head = {
             "seq": head,
-            "pc": pc_arr[head] if head < len(pc_arr) else None,
+            "pc": int(pc_arr[head]) if head < len(pc_arr) else None,
             "kind": kind_arr[head] if head < len(kind_arr) else None,
             "done_at": None if done_at == K.NOT_DONE else done_at,
         }

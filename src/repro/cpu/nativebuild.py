@@ -1,25 +1,24 @@
 """Opportunistic build + ctypes loader for the compiled cycle kernel.
 
-The ``native`` sim backend runs ``_kernel.c`` (a direct transliteration
-of ``_kernel.py``) as a shared library.  This module owns its lifecycle:
+The ``kernel`` sim engine runs ``_kernel.c`` (a direct transliteration
+of ``_kernel.py``) as a shared library whenever it loads, and the
+pure-Python kernel otherwise.  This module owns its lifecycle:
 
 - :func:`load` compiles the C source on first use -- if a C compiler is
   on PATH -- into a content-addressed cache directory and returns the
   ``ctypes`` handle, or ``None`` when no artifact can be produced (no
   toolchain, build failure, ABI mismatch).  The outcome is memoized per
   process either way, so probing is cheap.
-- :func:`native_available` / :func:`native_error` are what
-  :mod:`repro.cpu.engine` uses to gate backend selection and to explain
-  *why* ``native`` is unavailable.
+- :func:`native_available` / :func:`native_error` report whether the
+  compiled kernel runs and, if not, why (``repro bench`` records it).
 - ``python -m repro.cpu.nativebuild`` builds eagerly and reports.
 
 Environment knobs:
 
 - ``REPRO_NATIVE_DIR`` -- artifact cache directory (default
   ``~/.cache/repro-native``);
-- ``REPRO_NATIVE=0`` -- disable the native kernel entirely (probes
-  report unavailable; the pure-Python kernel serves ``native`` requests
-  nowhere, since engine selection is gated on availability);
+- ``REPRO_NATIVE=0`` -- disable the compiled kernel entirely (probes
+  report unavailable and the pure-Python kernel runs);
 - ``REPRO_NATIVE_CC`` -- compiler executable to use (default: first of
   ``cc``, ``gcc``, ``clang`` on PATH).
 
@@ -42,9 +41,14 @@ from typing import Optional
 from repro.cpu._kernel import KERNEL_ABI
 
 #: int64 input-pointer table layout (must match _kernel.c's I_* enum).
-I_LEN = 24
+I_LEN = 23
 #: uint8 input-pointer table layout (must match _kernel.c's B_* enum).
 B_LEN = 8
+
+#: ``hook(now, committed, spawns_started) -> int`` loop-boundary callback.
+KernelHook = ctypes.CFUNCTYPE(
+    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
+)
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 
@@ -89,6 +93,7 @@ def _configure(lib: ctypes.CDLL) -> None:
         i64p,                                     # missed_out
         i64p,                                     # misspc_out
         i64p,                                     # fa_out
+        KernelHook,                               # hook (KernelHook() = NULL)
     ]
 
 

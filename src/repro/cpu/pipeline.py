@@ -41,8 +41,8 @@ from repro.memory.hierarchy import MemoryHierarchy
 INST_BYTES = 4
 
 #: Simulated-cycle interval between progress heartbeat events (emitted
-#: only when debug-level telemetry is enabled, so the hot loop pays one
-#: boolean test otherwise).
+#: only when debug telemetry or a tap is on) and between ``pipeline.step``
+#: fault samples.  Both engines read it here at simulation start.
 HEARTBEAT_CYCLES = 250_000
 
 _SIM_RUNS = obs.counters.counter("cpu.pipeline.simulations")
@@ -119,6 +119,100 @@ def _pipeline_view(trace: Trace) -> Tuple[List, ...]:
         )
         trace.derived["pipeline"] = view
     return view
+
+
+class LoopHook:
+    """Loop-boundary instrumentation: ``pipeline.step`` faults and
+    progress heartbeats, shared by every engine.
+
+    An engine calls it at the top of its cycle loop whenever ``now >=
+    hook_next``: first at cycle 0, then re-armed to ``now +``
+    :attr:`interval` (``HEARTBEAT_CYCLES`` when created).  Those are the
+    cycles the ``pipeline.step`` site is sampled on, keyed
+    ``cycle:{now}``; heartbeats start at the first call at or past one
+    interval.  Any exception is stashed in :attr:`error` and reported as
+    a nonzero return -- the form the compiled kernel's ctypes callback
+    needs, since an exception cannot cross it; the engine stops and the
+    caller raises :attr:`error`.
+    """
+
+    __slots__ = (
+        "n_main", "interval", "heartbeat", "fault_step", "error",
+        "wall_start", "hb_next", "hb_last_wall", "hb_last_cycles",
+        "hb_last_committed",
+    )
+
+    def __init__(self, n_main: int, heartbeat: bool, fault_step: bool) -> None:
+        self.n_main = n_main
+        self.interval = HEARTBEAT_CYCLES
+        self.heartbeat = heartbeat
+        self.fault_step = fault_step
+        self.error: Optional[BaseException] = None
+        self.wall_start = time.perf_counter()
+        self.hb_next = self.interval
+        self.hb_last_wall = self.wall_start
+        self.hb_last_cycles = 0
+        self.hb_last_committed = 0
+
+    def __call__(self, now: int, committed: int, spawns: int) -> int:
+        try:
+            if self.fault_step:
+                faults.raise_if("pipeline.step", key=f"cycle:{now}")
+            if self.heartbeat and now >= self.hb_next:
+                self._beat(now, committed, spawns)
+        except BaseException as exc:  # the engine's caller re-raises it
+            self.error = exc
+            return 1
+        return 0
+
+    def _beat(self, now: int, committed: int, spawns: int) -> None:
+        n_main = self.n_main
+        wall_now = time.perf_counter()
+        wall_s = wall_now - self.wall_start
+        # Interval rates (since the previous heartbeat) drive the ETA:
+        # committed instructions are monotone toward n_main, so the
+        # retired-rate projection converges even when the cycle rate
+        # swings between miss-bound and compute-bound program phases.
+        dt = wall_now - self.hb_last_wall
+        retired_rate = (
+            (committed - self.hb_last_committed) / dt if dt > 0 else 0.0
+        )
+        eta_s = (
+            (n_main - committed) / retired_rate if retired_rate > 0 else None
+        )
+        obs.log_event(
+            "sim_heartbeat",
+            level="debug",
+            cycles=now,
+            committed=committed,
+            progress_pct=round(100.0 * committed / n_main, 2)
+            if n_main
+            else 100.0,
+            spawns=spawns,
+            wall_s=round(wall_s, 3),
+            cycles_per_sec=round(now / wall_s) if wall_s else 0,
+            interval_cycles_per_sec=round((now - self.hb_last_cycles) / dt)
+            if dt > 0
+            else 0,
+            interval_retired_per_sec=round(retired_rate),
+            eta_s=round(eta_s, 1) if eta_s is not None else None,
+        )
+        self.hb_last_wall = wall_now
+        self.hb_last_cycles = now
+        self.hb_last_committed = committed
+        self.hb_next = now + self.interval
+
+
+def loop_hook(n_main: int) -> Optional[LoopHook]:
+    """The hook for one simulation, or None when no hook site is active
+    (heartbeats need debug telemetry or a tap, and no ``--quiet``)."""
+    heartbeat = (
+        obs.is_enabled("debug") or obs.has_taps()
+    ) and not obs.is_quiet()
+    fault_step = faults.site_active("pipeline.step")
+    if not (heartbeat or fault_step):
+        return None
+    return LoopHook(n_main, heartbeat, fault_step)
 
 
 class _Entry:
@@ -873,25 +967,13 @@ class Pipeline:
         _debug_iter = 0
         _debug = bool(os.environ.get("REPRO_DEBUG_PIPELINE"))
         wall_start = time.perf_counter()
-        # Progress heartbeats: only when debug telemetry is on (and not
-        # silenced by --quiet), so the disabled fast path costs one
-        # boolean test per iteration.
-        heartbeat = (
-            obs.is_enabled("debug") or obs.has_taps()
-        ) and not obs.is_quiet()
-        heartbeat_next = HEARTBEAT_CYCLES
-        hb_last_wall = wall_start
-        hb_last_cycles = 0
-        hb_last_committed = 0
-        # The ``pipeline.step`` fault site costs one hoisted boolean test
-        # per iteration when inactive; when armed it is sampled once at
-        # simulation start and then at heartbeat-sized cycle intervals.
-        fault_step = faults.site_active("pipeline.step")
-        fault_next = 0
+        hook = loop_hook(n_main)
+        hook_next = 0
         while committed < n_main:
-            if fault_step and now >= fault_next:
-                fault_next = now + HEARTBEAT_CYCLES
-                faults.raise_if("pipeline.step", key=f"cycle:{now}")
+            if hook is not None and now >= hook_next:
+                if hook(now, committed, stats.spawns_started):
+                    raise hook.error
+                hook_next = now + hook.interval
             if _debug:
                 _debug_iter += 1
                 if _debug_iter % 200_000 == 0:
@@ -904,44 +986,6 @@ class Pipeline:
                         f"phys={phys_used} freectx={free_contexts}",
                         flush=True,
                     )
-            if heartbeat and now >= heartbeat_next:
-                wall_now = time.perf_counter()
-                wall_s = wall_now - wall_start
-                # Interval rates (since the previous heartbeat) drive the
-                # ETA: committed instructions are monotone toward n_main,
-                # so the retired-rate projection converges even when the
-                # cycle rate swings between miss-bound and compute-bound
-                # program phases.
-                dt = wall_now - hb_last_wall
-                retired_rate = (
-                    (committed - hb_last_committed) / dt if dt > 0 else 0.0
-                )
-                eta_s = (
-                    (n_main - committed) / retired_rate
-                    if retired_rate > 0
-                    else None
-                )
-                obs.log_event(
-                    "sim_heartbeat",
-                    level="debug",
-                    cycles=now,
-                    committed=committed,
-                    progress_pct=round(100.0 * committed / n_main, 2)
-                    if n_main
-                    else 100.0,
-                    spawns=stats.spawns_started,
-                    wall_s=round(wall_s, 3),
-                    cycles_per_sec=round(now / wall_s) if wall_s else 0,
-                    interval_cycles_per_sec=round((now - hb_last_cycles) / dt)
-                    if dt > 0
-                    else 0,
-                    interval_retired_per_sec=round(retired_rate),
-                    eta_s=round(eta_s, 1) if eta_s is not None else None,
-                )
-                hb_last_wall = wall_now
-                hb_last_cycles = now
-                hb_last_committed = committed
-                heartbeat_next = now + HEARTBEAT_CYCLES
             if completion_events and completion_events[0][0] <= now:
                 process_completions()
             ncommitted = do_commit()
@@ -1054,24 +1098,19 @@ def simulate(
 ) -> SimStats:
     """Run one timing simulation on the selected cycle-engine backend.
 
-    Dispatches to the merged-loop engine (:mod:`repro.cpu.batch`) unless
-    the ``reference`` backend is selected or microarchitectural tracing
-    is active -- the utrace hooks live only in :class:`Pipeline`.  All
-    backends are bit-identical (``tests/cpu/test_golden_sim_backends``),
-    so nothing downstream can observe the dispatch.
+    Dispatches to the cycle kernel (:mod:`repro.cpu.kerneldriver`)
+    unless the ``reference`` backend is selected or microarchitectural
+    tracing is active -- the utrace hooks live only in :class:`Pipeline`.
+    Both engines are bit-identical
+    (``tests/cpu/test_golden_sim_backends``), so nothing downstream can
+    observe the dispatch.
     """
     from repro.cpu import engine
 
-    name = engine.backend()
-    if name != "reference" and not utrace.enabled():
-        from repro.cpu import batch
+    if engine.backend() == "kernel" and not utrace.enabled():
+        from repro.cpu import kerneldriver
 
-        return batch.simulate_fast(
-            trace,
-            config,
-            pthreads,
-            warm=warm,
-            vector=name == "numpy",
-            native=name == "native",
+        return kerneldriver.simulate_kernel(
+            trace, config, pthreads, warm=warm
         )
     return Pipeline(trace, config, pthreads, warm=warm).run()

@@ -262,8 +262,8 @@ class TraceColumns:
     @classmethod
     def from_rows(cls, rows: Iterable) -> "TraceColumns":
         """Build sealed columns from ``DynInst``-like row objects (the
-        legacy constructor path: tests, the sampling harness, and the
-        object-path reference interpreter)."""
+        legacy constructor path: tests and the object-path reference
+        interpreter)."""
         pc: List[int] = []
         op_code: List[int] = []
         src1: List[int] = []

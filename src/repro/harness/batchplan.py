@@ -12,9 +12,9 @@ explicit:
   ``(benchmark, input, program fingerprint, max_instructions)`` -- i.e.
   by sealed trace content -- collecting the distinct machine
   configurations each group needs;
-- :func:`prewarm` advances each multi-config group through
-  :func:`repro.cpu.batch.simulate_batch` in one lock-step pass over the
-  shared pipeline view (per-config ``SimStats`` fully independent), and
+- :func:`prewarm` runs each multi-config group through
+  :func:`repro.cpu.batch.simulate_batch` over the shared per-trace
+  precomputes (per-config ``SimStats`` fully independent), and
   hands every result to :func:`repro.harness.experiment.adopt_baseline`
   so the subsequent per-cell experiments are served from the baseline
   LRU and the results fan back out as ordinary per-cell rows.
@@ -22,7 +22,7 @@ explicit:
 Members whose baseline is already cached (LRU or the persistent
 simulation cache) are skipped, so re-runs and journal resumes do not
 re-simulate.  The engine only invokes the pass on the sequential path
-with a non-reference cycle engine and microarchitectural tracing off
+with the ``kernel`` cycle engine and microarchitectural tracing off
 (the reference engine is the tracing oracle and must observe every
 simulation itself); everything here is bit-identical to the per-cell
 path because :func:`simulate_batch` runs the same engine on the same
@@ -133,9 +133,6 @@ def prewarm(jobs: Iterable) -> Dict[str, object]:
         "cached": 0,
         "wall_s": 0.0,
     }
-    backend_name = engine.backend()
-    vector = backend_name == "numpy"
-    native = backend_name == "native"
     from repro.cpu.batch import simulate_batch
 
     for group in plan_batches(jobs):
@@ -165,10 +162,7 @@ def prewarm(jobs: Iterable) -> Dict[str, object]:
             configs=len(need),
         ):
             results = simulate_batch(
-                trace,
-                [member.machine for member in need],
-                vector=vector,
-                native=native,
+                trace, [member.machine for member in need]
             )
         for member, sim_stats in zip(need, results):
             experiment.adopt_baseline(

@@ -32,6 +32,7 @@ from repro.cpu.pipeline import simulate
 from repro.frontend import columns, tracestore
 from repro.frontend.interpreter import interpret
 from repro.cpu import engine as sim_engine
+from repro.ddmt import augment
 from repro.harness import batchplan, experiment, figures, simcache
 from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
@@ -85,6 +86,14 @@ def _grid_kwargs(quick: bool) -> Dict[str, object]:
     return {}
 
 
+def _cold_start() -> None:
+    """Drop the in-process memos a grid pass would otherwise inherit
+    from an earlier pass: baselines, traces, and spawn expansions."""
+    experiment.clear_baseline_cache()
+    tracestore.clear()
+    augment.clear_spawn_cache()
+
+
 def bench_grid(
     jobs: Optional[int] = None,
     quick: bool = False,
@@ -107,10 +116,9 @@ def bench_grid(
 
     if compare_sequential:
         # An honest cold pass: nothing carried over from earlier phases
-        # of this process (in-process baseline LRU, trace memo), only the
-        # sharing the sequential grid itself builds up.
-        experiment.clear_baseline_cache()
-        tracestore.clear()
+        # of this process (in-process baseline LRU, trace memo, spawn
+        # expansions), only the sharing the sequential grid builds up.
+        _cold_start()
         with simcache.disabled():
             t0 = time.perf_counter()
             rows = figures.figure5_memory_latency(jobs=1, **kwargs)
@@ -163,11 +171,10 @@ def bench_grid(
         if measure_walls:
             active = sim_engine.backend()
             walls = {active: out["sequential_uncached_wall_s"]}
-            for name in sim_engine.available_backends():
+            for name in sim_engine.SIM_BACKENDS:
                 if name == active:
                     continue
-                experiment.clear_baseline_cache()
-                tracestore.clear()
+                _cold_start()
                 sim_engine.set_sim_backend(name)
                 try:
                     with simcache.disabled():
@@ -214,6 +221,7 @@ def run_bench(
         "quick": quick,
         "trace_backend": columns.backend(),
         "sim_backend": sim_engine.backend(),
+        "kernel_impl": sim_engine.kernel_impl(),
         "simulator": bench_simulator(
             QUICK_BENCHMARKS if quick else None
         ),

@@ -1,20 +1,24 @@
-"""Golden bit-identity: every cycle-engine backend vs the reference.
+"""Golden bit-identity: both cycle-kernel implementations vs the reference.
 
-The batched and numpy engines (:mod:`repro.cpu.batch`) and the compiled
-native kernel (:mod:`repro.cpu.kerneldriver`) must be indistinguishable
-from the retained :class:`repro.cpu.pipeline.Pipeline` oracle everywhere
-downstream: full structural :class:`SimStats` equality (cycle/stall
-breakdowns, activity counters, missed-load sets, per-PC miss dicts) for
-baseline and p-thread-augmented runs over every seed benchmark, and
-identical figure rows through the whole harness.  ``native`` joins the
-matrix whenever the compiled artifact loads (a C compiler on PATH, or a
-cached build); environments without a toolchain skip just that column.
+The ``kernel`` engine (:mod:`repro.cpu.kerneldriver`) must be
+indistinguishable from the retained :class:`repro.cpu.pipeline.Pipeline`
+oracle everywhere downstream: full structural :class:`SimStats` equality
+(cycle/stall breakdowns, activity counters, missed-load sets, per-PC
+miss dicts) for baseline and p-thread-augmented runs over every seed
+benchmark, and identical figure rows through the whole harness.  Both of
+its implementations are held to it in one run: ``kernel-c`` (the
+compiled kernel, whenever the artifact loads -- a C compiler on PATH or
+a cached build) and ``kernel-python`` (the fallback, forced here by
+making the artifact probe report nothing).
 """
+
+import contextlib
+from unittest import mock
 
 import pytest
 
 from repro.config import EnergyConfig, MachineConfig
-from repro.cpu import engine
+from repro.cpu import engine, nativebuild
 from repro.cpu.pipeline import simulate
 from repro.cpu.pthreads import (
     PInstClass,
@@ -34,25 +38,32 @@ from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
 from repro.workloads.registry import get_program
 
-HAVE_NUMPY = engine._np is not None
-
 try:
-    from repro.cpu import nativebuild
-
     HAVE_NATIVE = nativebuild.native_available()
 except Exception:  # pragma: no cover - probe must never break the suite
     HAVE_NATIVE = False
 
 #: Bit-identity does not depend on the instruction budget; a reduced one
-#: keeps the 9-benchmark x 4-backend matrix affordable.  The seed
+#: keeps the 9-benchmark x 3-engine matrix affordable.  The seed
 #: programs halt past this budget, so truncated traces are exercised.
 BUDGET = 60_000
 
 BACKENDS = (
-    ["reference", "batched"]
-    + (["numpy"] if HAVE_NUMPY else [])
-    + (["native"] if HAVE_NATIVE else [])
+    ["reference"]
+    + (["kernel-c"] if HAVE_NATIVE else [])
+    + ["kernel-python"]
 )
+
+
+@contextlib.contextmanager
+def _engine(backend):
+    """Run the body under one column of the matrix."""
+    engine.set_sim_backend("reference" if backend == "reference" else "kernel")
+    if backend == "kernel-python":
+        with mock.patch.object(nativebuild, "load", lambda: None):
+            yield
+    else:
+        yield
 
 
 @pytest.fixture(autouse=True)
@@ -69,8 +80,8 @@ def _backend_stats(trace, machine, pthreads=None):
     """Baseline + optionally augmented SimStats under each backend."""
     out = {}
     for backend in BACKENDS:
-        engine.set_sim_backend(backend)
-        out[backend] = simulate(trace, machine, pthreads)
+        with _engine(backend):
+            out[backend] = simulate(trace, machine, pthreads)
     return out
 
 
@@ -112,12 +123,9 @@ def test_backends_bit_identical(bench_name):
         reference_trace=trace,
         require_halt=False,
     )
-    opt_by_backend = {}
-    for backend in BACKENDS:
-        engine.set_sim_backend(backend)
-        opt_by_backend[backend] = simulate(
-            augmented.trace, machine, augmented.pthreads
-        )
+    opt_by_backend = _backend_stats(
+        augmented.trace, machine, augmented.pthreads
+    )
     opt_reference = opt_by_backend["reference"]
     assert opt_reference.spawns_started >= 0
     for backend in BACKENDS[1:]:
@@ -157,8 +165,9 @@ def test_figure_rows_identical_across_backends():
         for backend in BACKENDS[1:]:
             tracestore.clear()
             clear_baseline_cache()
-            engine.set_sim_backend(backend)
-            assert _tiny_grid() == reference_rows, (
+            with _engine(backend):
+                rows = _tiny_grid()
+            assert rows == reference_rows, (
                 f"{backend}: figure rows diverge from the reference engine"
             )
 
@@ -221,10 +230,7 @@ def test_spawn_under_structural_pressure_all_backends():
         for i in range(8)
     ]
     pthreads = PThreadProgram.from_spawns(spawns)
-    by_backend = {}
-    for backend in BACKENDS:
-        engine.set_sim_backend(backend)
-        by_backend[backend] = simulate(trace, machine, pthreads)
+    by_backend = _backend_stats(trace, machine, pthreads)
     reference = by_backend["reference"]
     assert reference.spawns_started > 0
     assert reference.spawns_dropped_no_context > 0
@@ -252,9 +258,28 @@ def test_deadlock_detected_identically():
 
     messages = {}
     for backend in BACKENDS:
-        engine.set_sim_backend(backend)
-        with pytest.raises(PipelineDeadlockError) as excinfo:
+        with _engine(backend), pytest.raises(PipelineDeadlockError) as excinfo:
             simulate(_doctored(), MachineConfig())
         messages[backend] = str(excinfo.value)
     for backend in BACKENDS[1:]:
         assert messages[backend] == messages["reference"]
+
+
+def test_pipeline_step_fault_fires_at_same_cycle_key(monkeypatch):
+    """``pipeline.step`` at p=0.5 (seed 0) aborts every engine at the
+    same ``cycle:{now}`` draw: the kernels sample the site through their
+    loop-boundary hook on exactly the reference's cycles."""
+    from repro import faults
+    from repro.cpu import pipeline
+    from repro.errors import FaultInjectedError
+
+    monkeypatch.setattr(pipeline, "HEARTBEAT_CYCLES", 50)
+    trace = interpret(_alu_program(n=400, chain=4), require_halt=False)
+    keys = {}
+    for backend in BACKENDS:
+        with _engine(backend), faults.active(["pipeline.step:0.5:0"]):
+            with pytest.raises(FaultInjectedError) as excinfo:
+                simulate(trace, MachineConfig())
+        keys[backend] = excinfo.value.key
+    assert keys["reference"] != "cycle:0"  # a later sample fired
+    assert set(keys.values()) == {keys["reference"]}, keys

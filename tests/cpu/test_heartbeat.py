@@ -1,11 +1,12 @@
 """Simulator progress heartbeats: tap-driven emission, ETA semantics
-(``eta_s`` is null until instructions actually retire), and the
-``--quiet`` suppression gate."""
+(``eta_s`` is null until instructions actually retire), the ``--quiet``
+suppression gate, and engine neutrality (a tap never changes which
+kernel runs)."""
 
 import pytest
 
 from repro import obs
-from repro.cpu import batch, pipeline
+from repro.cpu import engine, kerneldriver, nativebuild, pipeline
 from repro.cpu.pipeline import simulate
 from repro.frontend import interpret
 from repro.isa.builder import ProgramBuilder
@@ -25,11 +26,8 @@ def _alu_loop(n=200):
 
 
 def _set_heartbeat_cycles(monkeypatch, value):
-    # ``batch`` imports the constant by value at module load, so both
-    # copies must be patched for the interval to take effect regardless
-    # of which cycle engine the dispatcher picks.
+    # Both engines read the one constant at simulation start.
     monkeypatch.setattr(pipeline, "HEARTBEAT_CYCLES", value)
-    monkeypatch.setattr(batch, "HEARTBEAT_CYCLES", value)
 
 
 @pytest.fixture
@@ -100,3 +98,28 @@ def test_no_taps_no_debug_means_no_heartbeats(monkeypatch):
     monkeypatch.setattr(pipeline.obs, "log_event", spy)
     simulate(_alu_loop())
     assert "sim_heartbeat" not in seen
+
+
+@pytest.mark.skipif(
+    not nativebuild.native_available(), reason="compiled kernel unavailable"
+)
+def test_heartbeats_come_from_the_c_kernel_under_a_tap(monkeypatch, beats):
+    # An installed tap (as ``repro serve`` keeps for its lifetime) must
+    # not push the run off the compiled kernel: the heartbeats arrive
+    # through the kernel's loop-boundary callback.
+    native_runs = []
+    real = kerneldriver._run_native
+
+    def counting(*args, **kwargs):
+        native_runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kerneldriver, "_run_native", counting)
+    engine.set_sim_backend("kernel")
+    try:
+        simulate(_alu_loop())
+    finally:
+        engine.set_sim_backend(None)
+    assert native_runs == [1]
+    assert beats, "no heartbeats from the compiled kernel"
+    assert all(e["cycles"] >= 25 for e in beats)

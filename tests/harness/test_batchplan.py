@@ -68,7 +68,7 @@ class TestPlanBatches:
 
 class TestPrewarm:
     def test_prewarm_adopts_baselines(self):
-        engine.set_sim_backend("batched")
+        engine.set_sim_backend("kernel")
         jobs = _latency_jobs()
         with simcache.disabled():
             stats = batchplan.prewarm(jobs)
@@ -88,7 +88,7 @@ class TestPrewarm:
             assert result.provenance["baseline"] == "batch"
 
     def test_prewarm_skips_cached_members(self):
-        engine.set_sim_backend("batched")
+        engine.set_sim_backend("kernel")
         jobs = _latency_jobs()
         with simcache.disabled():
             batchplan.prewarm(jobs)
@@ -97,7 +97,7 @@ class TestPrewarm:
         assert again["cached"] == 2
 
     def test_single_member_groups_left_alone(self):
-        engine.set_sim_backend("batched")
+        engine.set_sim_backend("kernel")
         with simcache.disabled():
             stats = batchplan.prewarm(_latency_jobs(latencies=(100,)))
         assert stats["groups"] == 0
@@ -110,11 +110,11 @@ class TestMaybePrewarm:
         assert batchplan.maybe_prewarm(_latency_jobs()) is None
 
     def test_single_job_gates_off(self):
-        engine.set_sim_backend("batched")
+        engine.set_sim_backend("kernel")
         assert batchplan.maybe_prewarm(_latency_jobs(latencies=(100,))) is None
 
     def test_sequential_grid_runs_prewarm(self):
-        engine.set_sim_backend("batched")
+        engine.set_sim_backend("kernel")
         with simcache.disabled():
             stats = batchplan.maybe_prewarm(_latency_jobs())
         assert stats is not None and stats["simulated"] == 2
