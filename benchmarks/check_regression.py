@@ -2,7 +2,7 @@
 """Compare a fresh ``repro bench --quick`` payload against the committed
 baseline and fail on regression.
 
-Two kinds of checks:
+Three kinds of checks:
 
 - **Determinism** (exact): per-benchmark ``cycles`` and ``committed``
   must match the baseline bit-for-bit.  These are machine-independent;
@@ -16,6 +16,11 @@ Two kinds of checks:
   variance).  Machines faster or slower than the baseline host pass as
   long as they are uniformly so; only a lopsided slowdown -- the shape
   of a code regression -- trips the guard.
+- **Row coverage**: the current run's rows must account for the grid
+  wall -- the sum of their ``t_total``
+  (``figure_grid.cold_phase_totals_s.total``) must reach 95% of
+  ``sequential_uncached_wall_s``.  Work done outside every row (a
+  grid-level pre-pass) would be charged to nobody.
 
 The payloads' ``sim_backend`` and ``kernel_impl`` fields must also
 agree: walls measured under a different cycle engine, or under the
@@ -35,6 +40,11 @@ import argparse
 import json
 import sys
 from typing import Dict, List, Tuple
+
+
+#: Share of the sequential uncached grid wall the rows' ``t_total``
+#: walls must cover; the rest is grid bookkeeping outside any cell.
+ROW_COVERAGE = 0.95
 
 
 def _simulator_by_benchmark(payload: Dict) -> Dict[str, Dict]:
@@ -132,6 +142,19 @@ def compare_named(
                 f"figure_grid.backend_walls_s.{name}: {cur_wall}s > "
                 f"ceiling {ceiling:.2f}s (baseline {base_wall}s, "
                 f"tolerance {tolerance:.0%})",
+            ))
+    seq_wall = cur_grid.get("sequential_uncached_wall_s")
+    if seq_wall:
+        # Row coverage: every build is charged to the row that ran it,
+        # so the rows' experiment walls must add up to the grid wall.
+        total = (cur_grid.get("cold_phase_totals_s") or {}).get("total")
+        floor = ROW_COVERAGE * float(seq_wall)
+        if total is None or float(total) < floor:
+            failures.append((
+                "figure_grid.cold_phase_totals_s.total",
+                f"figure_grid.cold_phase_totals_s.total: rows cover "
+                f"{total}s < {floor:.2f}s ({ROW_COVERAGE:.0%} of the "
+                f"{seq_wall}s sequential uncached wall)",
             ))
     if base_grid.get("rows") != cur_grid.get("rows"):
         failures.append((

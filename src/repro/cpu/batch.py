@@ -21,8 +21,7 @@ simulates one sealed trace under N machine configs:
   :mod:`repro.cpu.kerneldriver` into the form its kernel restores.
 
 :func:`simulate_batch` runs one trace through N machine configs on the
-``kernel`` engine (:mod:`repro.harness.batchplan` drives it for grid
-prewarm); each config's ``SimStats`` is accumulated fully
+``kernel`` engine; each config's ``SimStats`` is accumulated fully
 independently.
 """
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -13,6 +12,7 @@ from repro.frontend.interpreter import InterpreterState, interpret
 from repro.frontend.trace import NO_PRODUCER, Trace
 from repro.isa.instruction import Program, StaticInst
 from repro.isa.opcodes import IMMEDIATE_OPS, Op, OpClass
+from repro.memo import Memo
 from repro.pthsel.pthread import StaticPThread
 
 
@@ -140,19 +140,9 @@ def _expand_body(
 #
 # Keys exclude ``pthread_id`` (selection runs number their picks
 # independently); the id recorded at build time is rewritten on reuse.
-_SPAWN_CACHE: "OrderedDict[Tuple, Tuple[int, Tuple[SpawnSpec, ...]]]" = (
-    OrderedDict()
-)
-_SPAWN_CACHE_LIMIT = 64
+_SPAWNS = Memo("ddmt.augment.spawn_cache", limit=64)
 
-_SPAWN_HITS = obs.counters.counter("ddmt.augment.spawn_cache.hits")
-_SPAWN_BUILDS = obs.counters.counter("ddmt.augment.spawn_cache.builds")
 _TRACE_ADOPTIONS = obs.counters.counter("ddmt.augment.trace_adoptions")
-
-
-def clear_spawn_cache() -> None:
-    """Drop memoized spawn expansions (tests that patch workloads)."""
-    _SPAWN_CACHE.clear()
 
 
 def _content_key(pthread: StaticPThread) -> Tuple:
@@ -199,12 +189,10 @@ def expand_pthreads(
     expanded: Dict[int, Tuple[SpawnSpec, ...]] = {}
     uncached: List[int] = []
     for idx, key in enumerate(keys):
-        hit = _SPAWN_CACHE.get(key)
+        hit = _SPAWNS.get(key)
         if hit is None:
             uncached.append(idx)
             continue
-        _SPAWN_CACHE.move_to_end(key)
-        _SPAWN_HITS.add()
         built_id, spawn_list = hit
         wanted_id = pthreads[idx].pthread_id
         if built_id != wanted_id:
@@ -269,10 +257,7 @@ def expand_pthreads(
         for i in uncached:
             spawn_list = tuple(collected[i])
             expanded[i] = spawn_list
-            _SPAWN_CACHE[keys[i]] = (pthreads[i].pthread_id, spawn_list)
-            _SPAWN_BUILDS.add()
-        while len(_SPAWN_CACHE) > _SPAWN_CACHE_LIMIT:
-            _SPAWN_CACHE.popitem(last=False)
+            _SPAWNS.put(keys[i], (pthreads[i].pthread_id, spawn_list))
     elif trace is None:
         trace = interpret(program, max_instructions, require_halt=require_halt)
     if trace is reference_trace and reference_trace is not None:

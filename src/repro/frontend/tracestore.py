@@ -1,44 +1,33 @@
-"""Per-process trace-artifact memo shared across grid cells.
+"""Per-process trace memo shared across grid cells.
 
 ``interpret()`` is machine-configuration independent: a workload's dynamic
 trace depends only on the program and the instruction budget.  A figure
 grid therefore re-executes the same interpretation once per *cell* (27
 times for the memory-latency grid) when once per *workload* suffices.
-This module memoizes built traces per process, keyed by
-``(Program.fingerprint(), max_instructions)``, so cells share one trace
-object -- including its lazily materialized pc->seqs index, flat-list
-view, and consumer-derived columns -- read-only.  Pool workers forked
-from a warmed parent inherit the memo for free.
+This module memoizes built traces per process in a :class:`repro.memo.Memo`
+keyed by ``(Program.fingerprint(), max_instructions)``, so cells share one
+trace object -- including its lazily materialized pc->seqs index, flat-list
+view, and consumer-derived columns -- read-only.  The memo is the only
+owner of a shared trace: its ``trace.derived`` analyses are dropped with
+it.  Pool workers forked from a warmed parent inherit the memo for free.
 
 Augmented (p-thread) interpretations use ``pc_hooks`` and mutate
 architectural state observation per call; they never go through the memo.
-
-Disable with ``REPRO_TRACE_MEMO=0`` (each call then interprets afresh,
-matching pre-memo behavior exactly -- the memo returns the same bits
-either way, this is a debugging/measurement knob).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.frontend.interpreter import interpret
 from repro.frontend.trace import Trace
 from repro.isa.instruction import Program
+from repro.memo import Memo
 
-#: Retained traces per process; bounded because a session touches a handful
-#: of workloads, but evict oldest beyond this to stay safe in long sweeps.
-_MAX_ENTRIES = 32
-
-_store: Dict[Tuple[str, int], Trace] = {}
-_hits = 0
-_misses = 0
-
-
-def enabled() -> bool:
-    return os.environ.get("REPRO_TRACE_MEMO", "").strip() != "0"
+#: Retained traces per process; a run touches a handful of
+#: workloads, the bound keeps long sweeps safe.
+_TRACES = Memo("frontend.tracestore", limit=32)
 
 
 def get_trace(program: Program, max_instructions: int) -> Tuple[Trace, float]:
@@ -58,37 +47,16 @@ def get_trace_tagged(
 
     Returns ``(trace, build_seconds, src)`` with ``src`` either
     ``"interpreted"`` (this call ran the interpreter; ``build_seconds``
-    measures it) or ``"memo"`` (served from the per-process store;
+    measures it) or ``"memo"`` (served from the per-process memo;
     ``build_seconds`` is 0.0).  The tag is what lets bench cold-phase
     rows explain a ``t_trace`` of zero.
     """
-    global _hits, _misses
-    if not enabled():
-        start = time.perf_counter()
-        trace = interpret(program, max_instructions=max_instructions)
-        return trace, time.perf_counter() - start, "interpreted"
     key = (program.fingerprint(), max_instructions)
-    cached = _store.get(key)
+    cached = _TRACES.get(key)
     if cached is not None:
-        _hits += 1
         return cached, 0.0, "memo"
     start = time.perf_counter()
     trace = interpret(program, max_instructions=max_instructions)
     build_seconds = time.perf_counter() - start
-    _misses += 1
-    if len(_store) >= _MAX_ENTRIES:
-        _store.pop(next(iter(_store)))
-    _store[key] = trace
+    _TRACES.put(key, trace)
     return trace, build_seconds, "interpreted"
-
-
-def clear() -> None:
-    """Drop all memoized traces and reset counters (tests, cold benches)."""
-    global _hits, _misses
-    _store.clear()
-    _hits = 0
-    _misses = 0
-
-
-def stats() -> Dict[str, int]:
-    return {"entries": len(_store), "hits": _hits, "misses": _misses}

@@ -26,14 +26,13 @@ import platform
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro import __version__, obs
+from repro import __version__, memo, obs
 from repro.config import MachineConfig, SimulationConfig
 from repro.cpu.pipeline import simulate
-from repro.frontend import columns, tracestore
+from repro.frontend import columns
 from repro.frontend.interpreter import interpret
 from repro.cpu import engine as sim_engine
-from repro.ddmt import augment
-from repro.harness import batchplan, experiment, figures, simcache
+from repro.harness import figures, simcache
 from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
 from repro.workloads.registry import get_program
@@ -86,14 +85,6 @@ def _grid_kwargs(quick: bool) -> Dict[str, object]:
     return {}
 
 
-def _cold_start() -> None:
-    """Drop the in-process memos a grid pass would otherwise inherit
-    from an earlier pass: baselines, traces, and spawn expansions."""
-    experiment.clear_baseline_cache()
-    tracestore.clear()
-    augment.clear_spawn_cache()
-
-
 def bench_grid(
     jobs: Optional[int] = None,
     quick: bool = False,
@@ -116,9 +107,9 @@ def bench_grid(
 
     if compare_sequential:
         # An honest cold pass: nothing carried over from earlier phases
-        # of this process (in-process baseline LRU, trace memo, spawn
-        # expansions), only the sharing the sequential grid builds up.
-        _cold_start()
+        # of this process (every in-process memo), only the sharing the
+        # sequential grid builds up.
+        memo.clear_all()
         with simcache.disabled():
             t0 = time.perf_counter()
             rows = figures.figure5_memory_latency(jobs=1, **kwargs)
@@ -154,12 +145,13 @@ def bench_grid(
             )
         out["cold_phase_rows"] = cold_rows
         out["cached_rows"] = cached_rows
+        # ``total`` sums every row's experiment wall: with each build
+        # charged to the row that ran it, it covers the grid wall.
         out["cold_phase_totals_s"] = {
             k[2:]: round(sum(float(r.get(k, 0.0)) for r in rows), 3)
-            for k in phase_keys
+            for k in (*phase_keys, "t_total")
         }
-        out["batch_prewarm"] = batchplan.last_prewarm_stats()
-        out["tracestore"] = tracestore.stats()
+        out["memos"] = memo.stats()
 
         # Per-backend walls over the same sequential uncached grid, so
         # the committed baseline pins every engine's speed -- a change
@@ -174,7 +166,7 @@ def bench_grid(
             for name in sim_engine.SIM_BACKENDS:
                 if name == active:
                     continue
-                _cold_start()
+                memo.clear_all()
                 sim_engine.set_sim_backend(name)
                 try:
                     with simcache.disabled():

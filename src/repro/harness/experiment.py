@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -25,13 +24,13 @@ from repro.config import (
 )
 from repro.cpu.pipeline import simulate
 from repro.cpu.stats import SimStats
-from repro.critpath.classify import analysis_memo_enabled
-from repro.ddmt.augment import AugmentedProgram, expand_pthreads
+from repro.ddmt.augment import expand_pthreads
 from repro.energy.metrics import relative_metrics
 from repro.energy.wattch import EnergyModel, EnergyResult
 from repro.frontend import tracestore
 from repro.frontend.trace import Trace
 from repro.harness import simcache
+from repro.memo import Memo
 from repro.pthsel.framework import (
     BaselineEstimates,
     SelectionResult,
@@ -76,7 +75,7 @@ class ExperimentResult:
     #: register every worker-side trace file in the run manifest.
     trace_artifacts: List[Dict[str, object]] = field(default_factory=list)
     #: Where each layer of this result came from -- ``result``:
-    #: computed|simcache, ``baseline``: simulated|memo|batch|simcache,
+    #: computed|simcache, ``baseline``: simulated|memo|simcache,
     #: ``optimized``: simulated|memo, ``trace``: interpreted|memo (did
     #: this run pay for interpretation, or was the trace served from the
     #: per-process :mod:`repro.frontend.tracestore`?).  Rows expose
@@ -136,28 +135,15 @@ class ExperimentResult:
 # Baseline caching: sensitivity sweeps re-simulate the same baseline for
 # several targets.  Two layers:
 #
-# - an in-process LRU holding (trace, stats), keyed by the workload's
+# - an in-process LRU holding the SimStats, keyed by the workload's
 #   *content* fingerprint plus the machine configuration -- two programs
-#   registered under the same benchmark name can never alias;
+#   registered under the same benchmark name can never alias.  The trace
+#   always comes from :mod:`repro.frontend.tracestore`, its only owner;
 # - the persistent :mod:`repro.harness.simcache`, holding the SimStats
-#   only (traces are cheap to re-interpret, expensive to store), shared
-#   across processes and CLI invocations.
+#   too, shared across processes and CLI invocations.
 # --------------------------------------------------------------------- #
 
-_BASELINE_CACHE: "OrderedDict[Tuple, Tuple[Trace, SimStats]]" = OrderedDict()
-_BASELINE_CACHE_LIMIT = 24
-#: Baseline-cache keys seeded by the batch prewarm pass
-#: (:mod:`repro.harness.batchplan`) rather than a per-cell simulation;
-#: rows served from these carry ``src_baseline == "batch"``.
-_ADOPTED_KEYS: set = set()
-
-_CACHE_HITS = obs.counters.counter("harness.experiment.baseline_cache.hits")
-_CACHE_MISSES = obs.counters.counter(
-    "harness.experiment.baseline_cache.misses"
-)
-_CACHE_EVICTIONS = obs.counters.counter(
-    "harness.experiment.baseline_cache.evictions"
-)
+_BASELINES = Memo("harness.experiment.baseline_cache", limit=24)
 
 
 def _baseline_material(
@@ -186,10 +172,10 @@ def _baseline_sim(
 ) -> Tuple[Trace, SimStats, Dict[str, float]]:
     """Trace + baseline stats + cold phase walls ({"trace": s, "sim": s}).
 
-    The phase walls are 0.0 for work served from a cache (the LRU, the
-    trace memo, or the persistent stats cache): they measure what *this
-    call* built, which is what the bench cold-path breakdown wants.  The
-    dict also carries ``src`` (where the *stats* came from) and
+    The phase walls are 0.0 for work served from a cache (the baseline
+    memo, the trace memo, or the persistent stats cache): they measure
+    what *this call* built, which is what the bench cold-path breakdown
+    wants.  The dict also carries ``src`` (where the *stats* came from) and
     ``src_trace`` (``"interpreted"`` when this call ran the interpreter,
     ``"memo"`` otherwise) so a zero wall is always explainable.
     """
@@ -199,16 +185,15 @@ def _baseline_sim(
     # Tracing bypasses every stats cache: a cached SimStats carries no
     # event stream, so serving it would silently produce no trace files.
     tracing = utrace.enabled()
-    hit = None if tracing else _BASELINE_CACHE.get(key)
-    if hit is not None:
-        _BASELINE_CACHE.move_to_end(key)
-        _CACHE_HITS.add()
-        trace, stats = hit
-        src = "batch" if key in _ADOPTED_KEYS else "memo"
+    stats: Optional[SimStats] = None if tracing else _BASELINES.get(key)
+    if stats is not None:
+        trace, t_trace, trace_src = tracestore.get_trace_tagged(
+            program, sim.max_instructions
+        )
         return trace, stats, {
-            "trace": 0.0, "sim": 0.0, "src": src, "src_trace": "memo",
+            "trace": t_trace, "sim": 0.0, "src": "memo",
+            "src_trace": trace_src,
         }
-    _CACHE_MISSES.add()
     disk = None if tracing else simcache.get_cache()
     material = _baseline_material(
         benchmark, input_name, program_fp, machine, sim
@@ -222,7 +207,6 @@ def _baseline_sim(
         )
         t_sim = 0.0
         src = "simcache"
-        stats: Optional[SimStats] = None
         if disk is not None:
             cached = disk.get(material)
             if isinstance(cached, SimStats):
@@ -240,11 +224,7 @@ def _baseline_sim(
             if disk is not None:
                 disk.put(material, stats)
         sp.annotate(cycles=stats.cycles, committed=stats.committed)
-    while len(_BASELINE_CACHE) >= _BASELINE_CACHE_LIMIT:
-        evicted, _ = _BASELINE_CACHE.popitem(last=False)
-        _ADOPTED_KEYS.discard(evicted)
-        _CACHE_EVICTIONS.add()
-    _BASELINE_CACHE[key] = (trace, stats)
+    _BASELINES.put(key, stats)
     return trace, stats, {
         "trace": t_trace, "sim": t_sim, "src": src, "src_trace": trace_src,
     }
@@ -274,106 +254,17 @@ _RESULT_MISSES = obs.counters.counter(
 )
 
 
-def baseline_cache_stats() -> Dict[str, int]:
-    """Current baseline-cache occupancy and hit/miss/eviction counts."""
-    return {
-        "entries": len(_BASELINE_CACHE),
-        "limit": _BASELINE_CACHE_LIMIT,
-        "hits": _CACHE_HITS.value,
-        "misses": _CACHE_MISSES.value,
-        "evictions": _CACHE_EVICTIONS.value,
-    }
-
-
-def clear_baseline_cache() -> None:
-    """Drop memoized baseline simulations, augmented expansions, and
-    optimized-run stats (tests and the cold-path bench use this)."""
-    _BASELINE_CACHE.clear()
-    _ADOPTED_KEYS.clear()
-    _AUG_CACHE.clear()
-    _OPT_CACHE.clear()
-
-
-def baseline_cached(
-    benchmark: str,
-    input_name: str,
-    machine: MachineConfig,
-    sim: SimulationConfig,
-) -> bool:
-    """Whether a baseline simulation is already served without running.
-
-    Probes the in-process LRU and the persistent cache (existence only,
-    no deserialization).  The batch planner uses this to skip members of
-    a shared-trace group that a previous run, journal resume, or earlier
-    group already produced.
-    """
-    program_fp = get_program(benchmark, input_name).fingerprint()
-    if (program_fp, machine, sim.max_instructions) in _BASELINE_CACHE:
-        return True
-    disk = simcache.get_cache()
-    if disk is None:
-        return False
-    return disk.contains(
-        _baseline_material(benchmark, input_name, program_fp, machine, sim)
-    )
-
-
-def adopt_baseline(
-    benchmark: str,
-    input_name: str,
-    machine: MachineConfig,
-    sim: SimulationConfig,
-    trace: Trace,
-    stats: SimStats,
-) -> None:
-    """Install a batch-prewarmed baseline simulation into the caches.
-
-    The lock-step pass (:mod:`repro.harness.batchplan`) produces stats
-    bit-identical to what :func:`_baseline_sim` would have computed for
-    the same ``(trace, machine)``; adopting them seeds the LRU (and the
-    persistent cache, when enabled) so per-cell experiments are cache
-    hits.  Adopted keys are remembered for row provenance.
-    """
-    key = (
-        get_program(benchmark, input_name).fingerprint(),
-        machine,
-        sim.max_instructions,
-    )
-    disk = simcache.get_cache()
-    if disk is not None:
-        disk.put(
-            _baseline_material(benchmark, input_name, key[0], machine, sim),
-            stats,
-        )
-    while len(_BASELINE_CACHE) >= _BASELINE_CACHE_LIMIT:
-        evicted, _ = _BASELINE_CACHE.popitem(last=False)
-        _ADOPTED_KEYS.discard(evicted)
-        _CACHE_EVICTIONS.add()
-    _BASELINE_CACHE[key] = (trace, stats)
-    _ADOPTED_KEYS.add(key)
-
-
 # --------------------------------------------------------------------- #
 # Optimized-run sharing: a sweep frequently selects the *same* p-thread
 # set in several cells (e.g. two targets agreeing at one latency, or one
-# target agreeing across latencies).  The augmented expansion depends
-# only on (program, p-threads, budget) -- not the machine -- and the
-# optimized timing run additionally on the machine, so both are shared
-# at exactly that granularity.  Keyed by p-thread *content*, never by
-# how the set was selected.
+# target agreeing across latencies).  The optimized timing run depends
+# on (program, p-threads, budget, machine), so its stats are shared at
+# exactly that granularity, keyed by p-thread *content*, never by how
+# the set was selected.  The expansion itself is shared per static
+# p-thread by :mod:`repro.ddmt.augment`.
 # --------------------------------------------------------------------- #
 
-# Sized for a full figure sweep: figure5's 9 benchmark x target cells
-# select ~13 distinct p-thread signatures, which thrash an LRU of 8 --
-# and a retained AugmentedProgram also keeps its trace's derived
-# pipeline view and simulation precomputes alive across sweep cells.
-_AUG_CACHE: "OrderedDict[Tuple, AugmentedProgram]" = OrderedDict()
-_AUG_CACHE_LIMIT = 32
-_OPT_CACHE: "OrderedDict[Tuple, SimStats]" = OrderedDict()
-_OPT_CACHE_LIMIT = 64
-
-_AUG_HITS = obs.counters.counter("harness.experiment.aug_cache.hits")
-_OPT_HITS = obs.counters.counter("harness.experiment.opt_cache.hits")
+_OPTIMIZED = Memo("harness.experiment.opt_cache", limit=64)
 
 
 def _pthread_signature(pthreads) -> Tuple:
@@ -582,51 +473,30 @@ def run_experiment(
             sp.annotate(n_pthreads=result.n_pthreads)
         phase_seconds["select"] = sp.wall_s
 
-        # Augment the run program and measure.  Both layers are shared
-        # across sweep cells that selected an identical p-thread set:
-        # the expansion machine-independently, the timing run per
-        # machine.
+        # Augment the run program and measure.  The optimized timing run
+        # is shared across sweep cells that selected an identical
+        # p-thread set on the same machine (never under tracing: a
+        # cached SimStats carries no event stream).  The expansion
+        # adopts ``run_trace``: it is the plain interpretation of the
+        # program the expansion replays, whichever input was profiled.
         with obs.span("augment") as sp:
             program = get_program(benchmark, run_input)
-            pth_sig = (
-                _pthread_signature(result.pthreads)
-                if analysis_memo_enabled()
-                else None
+            opt_key = (
+                machine.fingerprint,
+                program.fingerprint(),
+                sim.max_instructions,
+                _pthread_signature(result.pthreads),
             )
-            aug_key = opt_key = None
-            opt_stats: Optional[SimStats] = None
-            augmented: Optional[AugmentedProgram] = None
-            if pth_sig is not None:
-                base = (program.fingerprint(), sim.max_instructions, pth_sig)
-                aug_key = ("augment",) + base
-                # The augmented *expansion* is cache-safe under tracing
-                # (it is program transformation, not simulation); the
-                # optimized-stats cache is not.
-                if not tracing:
-                    opt_key = ("optimized", machine.fingerprint) + base
-                    opt_stats = _OPT_CACHE.get(opt_key)
-            if opt_stats is not None:
-                _OPT_CACHE.move_to_end(opt_key)
-                _OPT_HITS.add()
-            else:
-                if aug_key is not None:
-                    augmented = _AUG_CACHE.get(aug_key)
-                if augmented is not None:
-                    _AUG_CACHE.move_to_end(aug_key)
-                    _AUG_HITS.add()
-                else:
-                    augmented = expand_pthreads(
-                        program,
-                        result.pthreads,
-                        max_instructions=sim.max_instructions,
-                        reference_trace=(
-                            run_trace if run_input == profile_input else None
-                        ),
-                    )
-                    if aug_key is not None:
-                        while len(_AUG_CACHE) >= _AUG_CACHE_LIMIT:
-                            _AUG_CACHE.popitem(last=False)
-                        _AUG_CACHE[aug_key] = augmented
+            opt_stats: Optional[SimStats] = (
+                None if tracing else _OPTIMIZED.get(opt_key)
+            )
+            if opt_stats is None:
+                augmented = expand_pthreads(
+                    program,
+                    result.pthreads,
+                    max_instructions=sim.max_instructions,
+                    reference_trace=run_trace,
+                )
         phase_seconds["augment"] = 0.0 if opt_stats is not None else sp.wall_s
         opt_cached = opt_stats is not None
 
@@ -644,10 +514,8 @@ def run_experiment(
                     opt_stats = simulate(
                         augmented.trace, machine, augmented.pthreads
                     )
-                if opt_key is not None:
-                    while len(_OPT_CACHE) >= _OPT_CACHE_LIMIT:
-                        _OPT_CACHE.popitem(last=False)
-                    _OPT_CACHE[opt_key] = opt_stats
+                if not tracing:
+                    _OPTIMIZED.put(opt_key, opt_stats)
             optimized = RunMeasurement(
                 stats=opt_stats, energy=model.evaluate(opt_stats.activity)
             )
@@ -670,7 +538,7 @@ def run_experiment(
         sp_total.annotate(
             cycles=opt_stats.cycles,
             speedup_pct=round(metrics["speedup_pct"], 2),
-            cache=baseline_cache_stats(),
+            cache=_BASELINES.stats(),
         )
     phase_seconds["total"] = sp_total.wall_s
     for phase in ("trace", "analysis", "sim", "total"):

@@ -719,13 +719,6 @@ def run_experiments(
         _JOBS_DISPATCHED.add(len(to_run))
         n = min(resolve_jobs(n_jobs), max(1, len(to_run)))
         if n <= 1 or len(to_run) <= 1:
-            # Sequential path: advance shared-trace cells' baselines in
-            # lock-step batches first (no-op under the reference engine
-            # or tracing); each cell then hits the baseline LRU.  The
-            # pool path instead fans baselines out across workers below.
-            from repro.harness import batchplan
-
-            batchplan.maybe_prewarm([job for _, job, _ in to_run])
             _run_sequential(to_run, policy, journal, degrade, results)
         else:
             with obs.span("parallel_grid", jobs=len(to_run), workers=n):

@@ -6,6 +6,7 @@ from typing import Callable, Dict, Tuple
 
 from repro.errors import WorkloadError
 from repro.isa.instruction import Program
+from repro.memo import Memo
 from repro.workloads import spec
 from repro.workloads.inputs import WorkloadInput, input_set
 
@@ -49,14 +50,9 @@ def benchmark_names() -> Tuple[str, ...]:
 # sweep cell), so the registry memoizes instances.  Keyed by the builder
 # *function* and the resolved input parameters, not the benchmark name,
 # so re-registering a name (tests swap builders to prove
-# content-addressed caching) naturally misses.  Bounded by the
-# builder x input cross product, so no eviction is needed.
-_PROGRAM_MEMO: Dict[Tuple[object, object], Program] = {}
-
-
-def clear_program_memo() -> None:
-    """Drop memoized programs."""
-    _PROGRAM_MEMO.clear()
+# content-addressed caching) naturally misses.  The builder x input cross
+# product fits well within the bound.
+_PROGRAMS = Memo("workloads.registry.program_memo", limit=64)
 
 
 def get_program(name: str, input_name: str = "train") -> Program:
@@ -69,9 +65,8 @@ def get_program(name: str, input_name: str = "train") -> Program:
         ) from None
     winput = input_set(input_name, benchmark=name)
     memo_key = (builder, winput)
-    program = _PROGRAM_MEMO.get(memo_key)
-    if program is not None:
-        return program
-    program = builder(winput)
-    _PROGRAM_MEMO[memo_key] = program
+    program = _PROGRAMS.get(memo_key)
+    if program is None:
+        program = builder(winput)
+        _PROGRAMS.put(memo_key, program)
     return program

@@ -17,6 +17,7 @@ from unittest import mock
 
 import pytest
 
+from repro import memo
 from repro.config import EnergyConfig, MachineConfig
 from repro.cpu import engine, nativebuild
 from repro.cpu.pipeline import simulate
@@ -29,10 +30,8 @@ from repro.cpu.pthreads import (
 from repro.errors import PipelineDeadlockError
 from repro.ddmt.augment import expand_pthreads
 from repro.energy.wattch import EnergyModel
-from repro.frontend import tracestore
 from repro.frontend.interpreter import interpret
 from repro.harness import figures, simcache
-from repro.harness.experiment import clear_baseline_cache
 from repro.pthsel.framework import BaselineEstimates, select_pthreads
 from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
@@ -68,12 +67,10 @@ def _engine(backend):
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    tracestore.clear()
-    clear_baseline_cache()
+    memo.clear_all()
     yield
     engine.set_sim_backend(None)
-    tracestore.clear()
-    clear_baseline_cache()
+    memo.clear_all()
 
 
 def _backend_stats(trace, machine, pthreads=None):
@@ -136,9 +133,8 @@ def test_backends_bit_identical(bench_name):
 
 
 def _strip_timings(row):
-    # Phase walls differ run to run and src_baseline legitimately
-    # differs between engines (the batch prewarm is gated off under the
-    # reference engine); everything numeric must match exactly.
+    # Phase walls differ run to run and src_* provenance is telemetry;
+    # everything numeric must match exactly.
     return {
         k: v
         for k, v in row.items()
@@ -163,8 +159,7 @@ def test_figure_rows_identical_across_backends():
         engine.set_sim_backend("reference")
         reference_rows = _tiny_grid()
         for backend in BACKENDS[1:]:
-            tracestore.clear()
-            clear_baseline_cache()
+            memo.clear_all()
             with _engine(backend):
                 rows = _tiny_grid()
             assert rows == reference_rows, (

@@ -4,9 +4,9 @@ batch identity.
 Covers the engine-name contract (a removed or unknown engine name raises
 :class:`ConfigError` listing the legal names; both engines are always
 selectable, the kernel falling back to Python when the compiled artifact
-cannot load) and, where the artifact loads, ``simulate_batch``/
-``batchplan`` equivalence between the compiled and the Python kernel,
-plus thread safety of the compiled kernel's output buffers.
+cannot load) and, where the artifact loads, ``simulate_batch``
+equivalence between the compiled and the Python kernel, plus thread
+safety of the compiled kernel's output buffers.
 Toolchain-less environments run the fallback paths and skip the
 compiled ones -- never fail.
 """
@@ -17,15 +17,13 @@ from unittest import mock
 
 import pytest
 
+from repro import memo
 from repro.config import MachineConfig, SimulationConfig
 from repro.cpu import engine, nativebuild
 from repro.cpu.batch import simulate_batch
 from repro.cpu.pipeline import simulate
 from repro.errors import ConfigError
 from repro.frontend import tracestore
-from repro.harness import batchplan, experiment, simcache
-from repro.harness.experiment import clear_baseline_cache, run_experiment
-from repro.pthsel.targets import Target
 from repro.workloads.registry import get_program
 
 HAVE_NATIVE = nativebuild.native_available()
@@ -38,13 +36,11 @@ REMOVED = ("batched", "numpy", "native")
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    tracestore.clear()
-    clear_baseline_cache()
+    memo.clear_all()
     yield
     engine.set_sim_backend(None)
     nativebuild.reset_probe()
-    tracestore.clear()
-    clear_baseline_cache()
+    memo.clear_all()
 
 
 @pytest.fixture()
@@ -190,52 +186,3 @@ class TestNativeAvailable:
             assert len(results[i]) == rounds
             for stats in results[i]:
                 assert stats == expected[slot]
-
-
-@pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel unavailable")
-class TestNativePrewarm:
-    class _Job:
-        def __init__(self, benchmark, machine):
-            self._keys = [(benchmark, "train", machine, SIM)]
-
-        def baseline_keys(self):
-            return list(self._keys)
-
-    def _jobs(self):
-        return [
-            self._Job("mcf", MachineConfig(memory_latency=lat))
-            for lat in (100, 200)
-        ]
-
-    def _prewarmed_rows(self):
-        with simcache.disabled():
-            stats = batchplan.prewarm(self._jobs())
-            assert stats["simulated"] == 2
-            for job in self._jobs():
-                for key in job.baseline_keys():
-                    assert experiment.baseline_cached(*key)
-            return [
-                run_experiment(
-                    "mcf",
-                    target=Target.LATENCY,
-                    machine=MachineConfig(memory_latency=lat),
-                    sim=SIM,
-                )
-                for lat in (100, 200)
-            ]
-
-    def test_prewarm_adoption_identical_to_batched(self):
-        # The baselines prewarmed on the compiled kernel must be the
-        # exact stats the Python kernel adopts, and the per-cell
-        # experiment must still be served from the adopted baseline.
-        engine.set_sim_backend("kernel")
-        with _python_kernel():
-            python_rows = self._prewarmed_rows()
-        tracestore.clear()
-        clear_baseline_cache()
-        native_rows = self._prewarmed_rows()
-        for python_row, native_row in zip(python_rows, native_rows):
-            assert native_row.provenance["baseline"] == "batch"
-            assert native_row.baseline == python_row.baseline
-            assert native_row.optimized == python_row.optimized
-            assert native_row.metrics == python_row.metrics

@@ -9,6 +9,7 @@ engine runs).
 
 import pytest
 
+from repro import memo
 from repro.config import MachineConfig, SimulationConfig
 from repro.cpu.pipeline import simulate
 from repro.cpu.stats import (
@@ -17,7 +18,6 @@ from repro.cpu.stats import (
     StallBreakdown,
 )
 from repro.frontend import tracestore
-from repro.harness.experiment import clear_baseline_cache
 from repro.harness.parallel import ExperimentJob, run_experiments
 from repro.pthsel.targets import Target
 from repro.workloads.registry import get_program
@@ -63,9 +63,9 @@ class TestEngineIdentity:
                           sim=SimulationConfig())
             for benchmark in ("gap", "gcc")
         ]
-        clear_baseline_cache()
+        memo.clear_all()
         sequential = run_experiments(grid, n_jobs=1)
-        clear_baseline_cache()
+        memo.clear_all()
         parallel = run_experiments(grid, n_jobs=4)
         for seq, par in zip(sequential, parallel):
             assert (

@@ -10,6 +10,7 @@ off.
 
 import pytest
 
+from repro import memo
 from repro.config import EnergyConfig, MachineConfig
 from repro.cpu.pipeline import simulate
 from repro.energy.wattch import EnergyModel
@@ -17,7 +18,6 @@ from repro.frontend import columns, tracestore
 from repro.frontend.interpreter import interpret
 from repro.frontend.reference import interpret_reference
 from repro.harness import figures, simcache
-from repro.harness.experiment import clear_baseline_cache
 from repro.pthsel.framework import BaselineEstimates, select_pthreads
 from repro.pthsel.targets import Target
 from repro.workloads import benchmark_names
@@ -37,12 +37,10 @@ COLUMN_NAMES = ("pc", "op_code", "src1", "src2", "addr", "taken", "next_pc")
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    tracestore.clear()
-    clear_baseline_cache()
+    memo.clear_all()
     yield
     columns.set_backend(None)
-    tracestore.clear()
-    clear_baseline_cache()
+    memo.clear_all()
 
 
 def _columns_as_lists(trace):
@@ -131,8 +129,7 @@ def test_figure_rows_identical_across_paths(monkeypatch):
         monkeypatch.setattr(tracestore, "interpret", interpret)
         monkeypatch.setattr(augment, "interpret", interpret)
         for backend in BACKENDS:
-            tracestore.clear()
-            clear_baseline_cache()
+            memo.clear_all()
             columns.set_backend(backend)
             assert _tiny_grid() == reference_rows, (
                 f"{backend}: figure rows diverge from the object-path "

@@ -3,10 +3,12 @@ baseline cache."""
 
 import csv
 import json
+import sys
+import threading
 
 import pytest
 
-from repro import obs
+from repro import memo, obs
 from repro.cli import main
 from repro.config import MachineConfig, SimulationConfig
 from repro.harness import experiment
@@ -84,7 +86,7 @@ def test_run_log_level_emits_span_events(capsys):
     # Earlier tests in this process may have warmed the in-process
     # caches for this exact experiment; the span assertions below need
     # the simulations to actually run.
-    experiment.clear_baseline_cache()
+    memo.clear_all()
     assert main(["run", "gap", "--quiet", "--log-level", "info"]) == 0
     err = capsys.readouterr().err
     events = [json.loads(line) for line in err.splitlines() if line]
@@ -145,9 +147,9 @@ class _FakeStats:
     committed = 10
 
 
-def test_baseline_cache_is_lru_not_fifo(monkeypatch):
-    experiment.clear_baseline_cache()
-    monkeypatch.setattr(experiment, "_BASELINE_CACHE_LIMIT", 2)
+def _stub_baseline_layers(monkeypatch):
+    """Stub the program, trace and simulation layers under
+    ``_baseline_sim`` so only its memo logic runs."""
     class _FakeProgram(str):
         # The baseline cache keys on workload *content*; here each
         # name stands in for distinct content.
@@ -164,24 +166,60 @@ def test_baseline_cache_is_lru_not_fifo(monkeypatch):
     monkeypatch.setattr(
         experiment, "simulate", lambda trace, machine: _FakeStats()
     )
+
+
+def test_baseline_cache_is_lru_not_fifo(monkeypatch):
+    memo.clear_all()
+    baselines = experiment._BASELINES
+    monkeypatch.setattr(baselines, "limit", 2)
+    _stub_baseline_layers(monkeypatch)
     machine, sim = MachineConfig(), SimulationConfig()
-    hits0 = experiment._CACHE_HITS.value
-    misses0 = experiment._CACHE_MISSES.value
-    evict0 = experiment._CACHE_EVICTIONS.value
+    before = baselines.stats()
 
     experiment._baseline_sim("aa", "train", machine, sim)  # miss
     experiment._baseline_sim("bb", "train", machine, sim)  # miss
     experiment._baseline_sim("aa", "train", machine, sim)  # hit -> aa is MRU
     experiment._baseline_sim("cc", "train", machine, sim)  # miss, evicts bb
 
-    keys = [k[0] for k in experiment._BASELINE_CACHE]
-    assert "aa" in keys, "LRU must keep the recently-hit entry"
-    assert "bb" not in keys, "LRU must evict the least-recently-used entry"
-    assert "cc" in keys
-    assert experiment._CACHE_HITS.value - hits0 == 1
-    assert experiment._CACHE_MISSES.value - misses0 == 3
-    assert experiment._CACHE_EVICTIONS.value - evict0 == 1
+    keys = [k[0] for k in baselines.keys()]
+    assert keys == ["aa", "cc"], "LRU keeps the recently-hit entry"
+    after = baselines.stats()
+    assert after["hits"] - before["hits"] == 1
+    assert after["misses"] - before["misses"] == 3
+    assert after["evictions"] - before["evictions"] == 1
+    assert after["entries"] == 2 and after["limit"] == 2
+    memo.clear_all()
 
-    stats = experiment.baseline_cache_stats()
-    assert stats["entries"] == 2 and stats["limit"] == 2
-    experiment.clear_baseline_cache()
+
+def test_baseline_cache_survives_concurrent_eviction(monkeypatch):
+    # ``repro serve`` runs jobs on worker threads sharing the baseline
+    # memo.  Three keys thrashing a two-entry LRU from four threads,
+    # with a tiny switch interval, interleave lookups with evictions.
+    memo.clear_all()
+    monkeypatch.setattr(experiment._BASELINES, "limit", 2)
+    _stub_baseline_layers(monkeypatch)
+    machine, sim = MachineConfig(), SimulationConfig()
+    errors = []
+
+    def worker():
+        try:
+            for i in range(20_000):
+                experiment._baseline_sim(
+                    ("aa", "bb", "cc")[i % 3], "train", machine, sim
+                )
+        except Exception as exc:  # pragma: no cover - the regression
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    memo.clear_all()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

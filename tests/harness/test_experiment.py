@@ -2,18 +2,15 @@
 
 import pytest
 
+from repro import memo
 from repro.config import MachineConfig
-from repro.harness.experiment import (
-    clear_baseline_cache,
-    run_baseline,
-    run_experiment,
-)
+from repro.harness.experiment import run_baseline, run_experiment
 from repro.pthsel.targets import Target
 
 
 @pytest.fixture(scope="module")
 def gap_latency():
-    clear_baseline_cache()
+    memo.clear_all()
     return run_experiment("gap", target=Target.LATENCY)
 
 
@@ -54,7 +51,7 @@ def test_summary_row_keys(gap_latency):
 
 
 def test_baseline_cache_reused():
-    clear_baseline_cache()
+    memo.clear_all()
     a = run_baseline("gcc")
     b = run_baseline("gcc")
     assert a.stats is b.stats  # memoized simulation object
@@ -68,7 +65,7 @@ def test_realistic_profiling_runs():
 
 
 def test_machine_override_changes_baseline():
-    clear_baseline_cache()
+    memo.clear_all()
     slow = run_baseline("gap",
                         machine=MachineConfig().with_memory_latency(300))
     fast = run_baseline("gap",

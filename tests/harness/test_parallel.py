@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro import obs
+from repro import memo, obs
 from repro.config import MachineConfig, SimulationConfig
-from repro.harness.experiment import (
-    _baseline_sim,
-    clear_baseline_cache,
-)
+from repro.harness.experiment import _baseline_sim
 from repro.harness.figures import result_row
 from repro.harness.parallel import (
     ExperimentJob,
@@ -94,8 +91,8 @@ def test_baseline_keys_include_profile_input():
 
 def _strip_timings(row):
     # t_* walls and src_* provenance are telemetry: both legitimately
-    # depend on execution strategy (jobs, memo warmth, batch prewarm),
-    # never on results.
+    # depend on execution strategy (jobs, memo warmth), never on
+    # results.
     return {
         k: v
         for k, v in row.items()
@@ -112,9 +109,9 @@ def _grid():
 
 
 def test_jobs4_matches_jobs1():
-    clear_baseline_cache()
+    memo.clear_all()
     sequential = run_experiments(_grid(), n_jobs=1)
-    clear_baseline_cache()
+    memo.clear_all()
     parallel = run_experiments(_grid(), n_jobs=4)
 
     assert len(sequential) == len(parallel) == 4
@@ -125,7 +122,7 @@ def test_jobs4_matches_jobs1():
 
 
 def test_parallel_merges_worker_counters():
-    clear_baseline_cache()
+    memo.clear_all()
     before = obs.counters.snapshot()
     run_experiments(_grid()[:2], n_jobs=2)
     delta = obs.counters.delta_since(before)
@@ -137,7 +134,7 @@ def test_parallel_merges_worker_counters():
 
 
 def test_single_job_grid_stays_in_process():
-    clear_baseline_cache()
+    memo.clear_all()
     before = obs.counters.snapshot()
     results = run_experiments(
         [ExperimentJob("gcc", sim=SIM)], n_jobs=4
@@ -153,7 +150,7 @@ def test_single_job_grid_stays_in_process():
 
 
 def test_baseline_cache_keyed_by_workload_content(monkeypatch):
-    clear_baseline_cache()
+    memo.clear_all()
     machine = MachineConfig()
     _, gcc_stats, _ = _baseline_sim("gcc", "train", machine, SIM)
     # Re-register "gcc" to build a different program.  A cache keyed on
@@ -166,7 +163,7 @@ def test_baseline_cache_keyed_by_workload_content(monkeypatch):
 
     _, twolf_stats, _ = _baseline_sim("twolf", "train", machine, SIM)
     assert swapped_stats.cycles == twolf_stats.cycles
-    clear_baseline_cache()
+    memo.clear_all()
 
 
 # --------------------------------------------------------------------- #
