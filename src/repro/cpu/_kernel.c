@@ -1,5 +1,8 @@
 /* C transliteration of repro/cpu/_kernel.py: the `kernel` engine runs
- * this whenever the compiled artifact loads.
+ * this whenever the compiled artifact loads.  The artifact has a second
+ * entry point, repro_critpath_run (at the end of this file), the
+ * transliterated dependence-graph forward pass of
+ * repro/critpath/graph.py.
  *
  * Operates on the same marshaled form: the C_* config block, flat
  * per-instruction columns, packed cache sets, and the flattened
@@ -26,7 +29,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define KERNEL_ABI 2
+#define KERNEL_ABI 3
 #define NOT_DONE (-1LL)
 #define NO_FILL (1LL << 62)
 
@@ -1439,4 +1442,73 @@ int repro_kernel_run(
 
     arena_free(&ar);
     return 0;
+}
+
+
+/* ------------------------------------------------------------------ */
+/* Dependence-graph forward pass: line-for-line ForwardPass.run.       */
+/* ------------------------------------------------------------------ */
+
+/* One forward pass over a window of n instructions starting at trace
+ * sequence number `start`.  src1/src2 point at the trace's producer
+ * columns offset to `start`; latency is this pass's per-instruction
+ * latency (overrides already applied); mispred is one byte per
+ * instruction.  The window's execution time goes to *result.
+ *
+ * IEEE doubles throughout, in the Python loop's order of operations and
+ * comparisons; the loop has only additions (no multiply to contract into
+ * an FMA), so results are bit-identical to the Python mirror.  Scratch
+ * buffers are allocated per call: ctypes releases the GIL, and
+ * concurrent passes may share one window's inputs.
+ *
+ * Returns 0 on success, 1 when allocation fails, 2 when a producer
+ * lies at or after the window's end (the Python loop's IndexError). */
+int repro_critpath_run(
+    const int64_t *src1, const int64_t *src2, const double *latency,
+    const uint8_t *mispred, int64_t n, int64_t start, int64_t no_producer,
+    int64_t width, int64_t commit_width, int64_t rob,
+    int64_t frontend_depth, double *result
+) {
+    if (n == 0) { *result = 0.0; return 0; }
+    double inv_width = 1.0 / (double)width;
+    double inv_commit = 1.0 / (double)commit_width;
+    double refill = (double)frontend_depth;
+    double *comp = calloc((size_t)n, sizeof(double));
+    double *commit = calloc((size_t)n, sizeof(double));
+    if (!comp || !commit) { free(comp); free(commit); return 1; }
+    double d_prev = 0.0, c_prev = 0.0, redirect_ready = 0.0;
+    int status = 0;
+    for (int64_t i = 0; i < n; i++) {
+        double d = d_prev + inv_width;
+        if (redirect_ready > d) d = redirect_ready;
+        if (i >= rob) {
+            double rob_limit = commit[i - rob];
+            if (rob_limit > d) d = rob_limit;
+        }
+        double e = d + 1.0;
+        int64_t p = src1[i];
+        if (p != no_producer && p >= start) {
+            if (p - start >= n) { status = 2; break; }
+            double t = comp[p - start];
+            if (t > e) e = t;
+        }
+        p = src2[i];
+        if (p != no_producer && p >= start) {
+            if (p - start >= n) { status = 2; break; }
+            double t = comp[p - start];
+            if (t > e) e = t;
+        }
+        double done = e + latency[i];
+        comp[i] = done;
+        double c = c_prev + inv_commit;
+        if (done > c) c = done;
+        commit[i] = c;
+        c_prev = c;
+        d_prev = d;
+        if (mispred[i]) redirect_ready = done + refill;
+    }
+    if (status == 0) *result = commit[n - 1];
+    free(comp);
+    free(commit);
+    return status;
 }

@@ -63,8 +63,9 @@ from heapq import heappop, heappush
 from typing import List, Tuple
 
 #: Bumped whenever the marshaled layout (C_*/O_* blocks, array meanings,
-#: packing) changes; the compiled artifact must report the same value.
-KERNEL_ABI = 2
+#: packing) or the artifact's set of entry points changes; the compiled
+#: artifact must report the same value.
+KERNEL_ABI = 3
 
 NOT_DONE = -1
 

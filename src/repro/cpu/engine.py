@@ -70,7 +70,9 @@ def set_sim_backend(name: Optional[str]) -> None:
 
 
 def kernel_impl() -> str:
-    """Which kernel the ``kernel`` engine runs here: ``"c"`` or ``"python"``.
+    """Which implementation runs the compiled layers here -- the
+    ``kernel`` engine's loop and the load cost model's forward pass:
+    ``"c"`` or ``"python"``.
 
     Probes (and on first use builds) the compiled artifact.
     """

@@ -1,8 +1,17 @@
-"""Opportunistic build + ctypes loader for the compiled cycle kernel.
+"""Opportunistic build + ctypes loader for the one compiled artifact.
 
-The ``kernel`` sim engine runs ``_kernel.c`` (a direct transliteration
-of ``_kernel.py``) as a shared library whenever it loads, and the
-pure-Python kernel otherwise.  This module owns its lifecycle:
+``_kernel.c`` compiles to a single shared library with two entry
+points, each the transliteration of a pure-Python mirror that runs
+whenever the library does not load:
+
+- ``repro_kernel_run`` -- the ``kernel`` sim engine's cycle loop
+  (mirror: :func:`repro.cpu._kernel.run`);
+- ``repro_critpath_run`` -- the load cost model's dependence-graph
+  forward pass (mirror: the loop in
+  :meth:`repro.critpath.graph.ForwardPass.run`).
+
+There is one fallback switch for both: whether :func:`load` returns a
+library.  This module owns the artifact's lifecycle:
 
 - :func:`load` compiles the C source on first use -- if a C compiler is
   on PATH -- into a content-addressed cache directory and returns the
@@ -10,15 +19,15 @@ pure-Python kernel otherwise.  This module owns its lifecycle:
   toolchain, build failure, ABI mismatch).  The outcome is memoized per
   process either way, so probing is cheap.
 - :func:`native_available` / :func:`native_error` report whether the
-  compiled kernel runs and, if not, why (``repro bench`` records it).
+  compiled layers run and, if not, why (``repro bench`` records it).
 - ``python -m repro.cpu.nativebuild`` builds eagerly and reports.
 
 Environment knobs:
 
 - ``REPRO_NATIVE_DIR`` -- artifact cache directory (default
   ``~/.cache/repro-native``);
-- ``REPRO_NATIVE=0`` -- disable the compiled kernel entirely (probes
-  report unavailable and the pure-Python kernel runs);
+- ``REPRO_NATIVE=0`` -- disable the artifact entirely (probes report
+  unavailable and both pure-Python mirrors run);
 - ``REPRO_NATIVE_CC`` -- compiler executable to use (default: first of
   ``cc``, ``gcc``, ``clang`` on PATH).
 
@@ -94,6 +103,22 @@ def _configure(lib: ctypes.CDLL) -> None:
         i64p,                                     # misspc_out
         i64p,                                     # fa_out
         KernelHook,                               # hook (KernelHook() = NULL)
+    ]
+    f64p = ctypes.POINTER(ctypes.c_double)
+    lib.repro_critpath_run.restype = ctypes.c_int
+    lib.repro_critpath_run.argtypes = [
+        ctypes.c_void_p,                          # src1 int64 at start
+        ctypes.c_void_p,                          # src2 int64 at start
+        ctypes.c_void_p,                          # latency double[n]
+        ctypes.c_char_p,                          # mispred uint8[n]
+        ctypes.c_int64,                           # n
+        ctypes.c_int64,                           # start
+        ctypes.c_int64,                           # no_producer
+        ctypes.c_int64,                           # width
+        ctypes.c_int64,                           # commit_width
+        ctypes.c_int64,                           # rob
+        ctypes.c_int64,                           # frontend_depth
+        f64p,                                     # result
     ]
 
 
@@ -175,12 +200,12 @@ def load():
 
 
 def native_available() -> bool:
-    """True when the compiled kernel is loadable (building if needed)."""
+    """True when the compiled artifact is loadable (building if needed)."""
     return load() is not None
 
 
 def native_error() -> Optional[str]:
-    """Why the native kernel is unavailable (None when it is loaded)."""
+    """Why the compiled artifact is unavailable (None when it is loaded)."""
     load()
     return _probe[1] if _probe else None
 

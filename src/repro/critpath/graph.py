@@ -15,11 +15,21 @@ three events per instruction -- dispatch (D), execute-start (E), commit
 The pass is O(window length) and is re-run with modified load latencies
 to answer the "what if this load were faster" questions the load cost
 model asks (Section 4.1 of the paper).
+
+:meth:`ForwardPass.run` has two implementations of one loop: the
+compiled ``repro_critpath_run`` entry point of the cycle kernel's
+artifact (see :mod:`repro.cpu.nativebuild`), used whenever that
+artifact loads, and the pure-Python loop below, its mirror and the
+fallback (``REPRO_NATIVE=0`` selects it, together with the Python
+cycle kernel).  Both compute in IEEE doubles in the same order, so
+they return identical floats.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import ctypes
+from array import array
+from typing import Dict, List, Optional
 
 from repro.config import MachineConfig
 from repro.critpath.classify import L1, L2, MEM, LoadClassification
@@ -104,9 +114,26 @@ class ForwardPass:
         self._mispredicted = mispred
         self._src1 = L.src1[start:end]
         self._src2 = L.src2[start:end]
+        # (latency array('d'), mispredict bytes), built on the first
+        # compiled pass; the producer columns are read from the trace.
+        self._c_inputs: Optional[tuple] = None
 
     def __len__(self) -> int:
         return self.end - self.start
+
+    def _latencies(self, base, latency_override: Optional[Dict[int, float]]):
+        """``base`` (a list or ``array('d')``) with the override applied
+        to a copy, so the inner loop reads a plain latency column
+        instead of probing a dict per instruction."""
+        if not latency_override:
+            return base
+        start, n = self.start, len(self)
+        latency = base[:]
+        for seq, lat in latency_override.items():
+            i = seq - start
+            if 0 <= i < n:
+                latency[i] = lat
+        return latency
 
     def run(self, latency_override: Optional[Dict[int, float]] = None) -> float:
         """Execute the forward pass; return the window's execution time.
@@ -114,10 +141,17 @@ class ForwardPass:
         ``latency_override`` maps dynamic sequence numbers to replacement
         latencies (the what-if knob of the load cost model).
         """
-        cfg = self.config
         n = len(self)
         if n == 0:
             return 0.0
+        # Imported here, as in kerneldriver: the artifact machinery stays
+        # off the import path of everything that only imports critpath.
+        from repro.cpu import nativebuild
+
+        lib = nativebuild.load()
+        if lib is not None:
+            return self._run_compiled(lib, latency_override)
+        cfg = self.config
         start = self.start
         inv_width = 1.0 / cfg.width
         inv_commit = 1.0 / cfg.commit_width
@@ -126,16 +160,7 @@ class ForwardPass:
         src1 = self._src1
         src2 = self._src2
         mispred = self._mispredicted
-        # Apply the override once up front; the inner loop then reads a
-        # plain latency list instead of probing a dict per instruction.
-        if latency_override:
-            latency = self._base_latency[:]
-            for seq, lat in latency_override.items():
-                i = seq - start
-                if 0 <= i < n:
-                    latency[i] = lat
-        else:
-            latency = self._base_latency
+        latency = self._latencies(self._base_latency, latency_override)
 
         comp: List[float] = [0.0] * n  # completion time of local index i
         commit: List[float] = [0.0] * n
@@ -174,6 +199,49 @@ class ForwardPass:
                 redirect_ready = done + refill
 
         return commit[n - 1]
+
+    def _run_compiled(
+        self, lib, latency_override: Optional[Dict[int, float]]
+    ) -> float:
+        """:meth:`run` through the artifact's ``repro_critpath_run``.
+
+        The producer columns are the trace's sealed int64 ``src1``/
+        ``src2``, read in place at offset ``start``; the latency column
+        is built per call, so concurrent passes share only read-only
+        inputs (the call releases the GIL).
+        """
+        from repro.cpu.kerneldriver import _address
+
+        inputs = self._c_inputs
+        if inputs is None:
+            inputs = (array("d", self._base_latency),
+                      bytes(self._mispredicted))
+            self._c_inputs = inputs
+        base, mispred = inputs
+        latency = self._latencies(base, latency_override)
+        columns = self.trace.columns
+        offset = 8 * self.start
+        cfg = self.config
+        result = ctypes.c_double()
+        rc = lib.repro_critpath_run(
+            _address(columns.src1) + offset,
+            _address(columns.src2) + offset,
+            latency.buffer_info()[0],
+            mispred,
+            len(self),
+            self.start,
+            NO_PRODUCER,
+            cfg.width,
+            cfg.commit_width,
+            cfg.rob_entries,
+            cfg.frontend_depth,
+            ctypes.byref(result),
+        )
+        if rc == 1:
+            raise MemoryError("forward pass failed to allocate")
+        if rc == 2:
+            raise IndexError("producer after the end of the window")
+        return result.value
 
     def load_seqs(self) -> List[int]:
         """Sequence numbers of loads inside this window."""

@@ -10,8 +10,14 @@ from repro import obs
 from repro.cpu.pthreads import PInstClass, PInstSpec, PThreadProgram, SpawnSpec
 from repro.frontend.interpreter import InterpreterState, interpret
 from repro.frontend.trace import NO_PRODUCER, Trace
-from repro.isa.instruction import Program, StaticInst
-from repro.isa.opcodes import IMMEDIATE_OPS, Op, OpClass
+from repro.isa.instruction import Program
+from repro.isa.opcodes import (
+    ALU_SEMANTICS,
+    BRANCH_SEMANTICS,
+    IMMEDIATE_OPS,
+    Op,
+    OpClass,
+)
 from repro.memo import Memo
 from repro.pthsel.pthread import StaticPThread
 
@@ -26,22 +32,96 @@ class AugmentedProgram:
     spawn_counts: Dict[int, int]
 
 
-def _pinst_class(inst: StaticInst) -> PInstClass:
-    cls = inst.op.op_class
-    if cls is OpClass.LOAD:
-        return PInstClass.LOAD
-    if cls is OpClass.MUL:
-        return PInstClass.MUL
-    return PInstClass.ALU
+# Step kinds of a decoded p-thread body.
+_ALU, _LOAD, _BRANCH = range(3)
 
 
-def _expand_body(
-    pthread: StaticPThread,
+def _decode_body(pthread: StaticPThread) -> Tuple[tuple, ...]:
+    """Decode a p-thread body once into the steps :func:`_expand_plan`
+    replays per spawn.
+
+    Which body instruction wrote a register is fixed by the body, so
+    operand sources, intra-body dependences and the live-in register set
+    resolve here; only operand values, live-in producer sequence numbers
+    and load addresses vary per spawn.  Branch steps make no body-local
+    write; every other step writes ``rd`` (``r0`` included, so later
+    reads of ``r0`` in the body see the written value).
+
+    A step is ``(kind, s1, s2, b_const, body_deps, live_regs, fn, klass,
+    is_target, frozen, keep)``.  ``s1``/``s2`` are operand sources: a
+    body-local writer index (>= 0), a live-in register ``r`` encoded as
+    ``~r`` (< 0), or ``None`` when absent.  ``b_const`` stands in for an
+    absent second operand (the immediate, or 0 for ``mov``) and is the
+    offset of a load.  ``body_deps`` (deduplicated, in read order) and
+    ``live_regs`` (deduplicated) are static; ``fn`` is the ALU or branch
+    semantics; ``frozen`` is the shared ``PInstSpec`` an ALU step yields
+    whenever it captures no live-in producer; ``keep`` marks steps whose
+    value a later step reads.
+    """
+    target_set = set(pthread.target_pcs)
+    writer: Dict[int, int] = {}  # register -> body index
+    raw = []
+    consumed = set()
+    for idx, inst in enumerate(pthread.body):
+        op = inst.op
+        cls = op.op_class
+        fn = None
+        if cls is OpClass.BRANCH:
+            kind, reads, b_const = _BRANCH, (inst.rs1, inst.rs2), 0
+            fn = BRANCH_SEMANTICS[op]
+        elif cls is OpClass.LOAD:
+            kind, reads, b_const = _LOAD, (inst.rs1,), inst.imm or 0
+        else:  # ALU / MUL (p-threads contain no stores)
+            kind = _ALU
+            fn = ALU_SEMANTICS[op]
+            if op is Op.LI:
+                reads, b_const = (), inst.imm
+            elif op is Op.MOV:
+                reads, b_const = (inst.rs1,), 0
+            elif op in IMMEDIATE_OPS:
+                reads, b_const = (inst.rs1,), inst.imm
+            else:
+                reads, b_const = (inst.rs1, inst.rs2), 0
+        sources: List[Optional[int]] = []
+        deps: List[int] = []
+        live: List[int] = []
+        for reg in reads:
+            w = writer.get(reg)
+            if w is not None:
+                sources.append(w)
+                deps.append(w)
+                consumed.add(w)
+            else:
+                sources.append(~reg)
+                live.append(reg)
+        sources += [None] * (2 - len(sources))
+        klass = (
+            PInstClass.LOAD if cls is OpClass.LOAD
+            else PInstClass.MUL if cls is OpClass.MUL
+            else PInstClass.ALU
+        )
+        body_deps = tuple(dict.fromkeys(deps))
+        raw.append((
+            kind, sources[0], sources[1], b_const, body_deps,
+            tuple(dict.fromkeys(live)), fn, klass,
+            kind == _LOAD and inst.pc in target_set,
+            PInstSpec(klass, -1, body_deps) if kind == _ALU else None,
+        ))
+        if kind != _BRANCH and inst.rd is not None:
+            writer[inst.rd] = idx
+    return tuple(
+        step + (idx in consumed,) for idx, step in enumerate(raw)
+    )
+
+
+def _expand_plan(
+    plan: Tuple[tuple, ...],
+    static_id: int,
     trigger_seq: int,
     state: InterpreterState,
     hint_seq: int = -1,
 ) -> SpawnSpec:
-    """Execute a p-thread body against spawn-time architectural state.
+    """Execute a decoded p-thread body against spawn-time state.
 
     Register values are read from the checkpoint (the state just after
     the trigger executed); loads read the memory image as of the spawn
@@ -52,80 +132,49 @@ def _expand_body(
     For branch p-threads, ``hint_seq`` names the future dynamic branch
     instance the computed outcome is communicated to.
     """
-    local_values: Dict[int, int] = {}
-    local_writer: Dict[int, int] = {}  # register -> body index
+    regs = state.regs
+    last_writer = state.last_writer
+    memory_get = state.memory.get
+    values = [0] * len(plan)
     insts: List[PInstSpec] = []
-    target_set = set(pthread.target_pcs)
-
-    for idx, inst in enumerate(pthread.body):
-        body_deps: List[int] = []
-        livein_seqs: List[int] = []
-
-        def read(reg: int) -> int:
-            writer = local_writer.get(reg)
-            if writer is not None:
-                body_deps.append(writer)
-                return local_values[reg]
-            producer = state.last_writer[reg]
-            if producer != NO_PRODUCER:
-                livein_seqs.append(producer)
-            return state.regs[reg]
-
-        op = inst.op
-        if op.op_class is OpClass.BRANCH:
+    append = insts.append
+    for idx, (kind, s1, s2, b_const, deps, live_regs, fn, klass, is_target,
+              frozen, keep) in enumerate(plan):
+        livein = ()
+        if live_regs:
+            if len(live_regs) == 1:
+                p = last_writer[live_regs[0]]
+                if p != NO_PRODUCER:
+                    livein = (p,)
+            else:
+                livein = tuple(dict.fromkeys(
+                    p for p in (last_writer[r] for r in live_regs)
+                    if p != NO_PRODUCER
+                ))
+        if kind == _ALU:
+            append(PInstSpec(klass, -1, deps, livein) if livein else frozen)
+            if keep:
+                a = (0 if s1 is None
+                     else values[s1] if s1 >= 0 else regs[~s1])
+                b = (b_const if s2 is None
+                     else values[s2] if s2 >= 0 else regs[~s2])
+                values[idx] = fn(a, b)
+        elif kind == _LOAD:
+            addr = ((values[s1] if s1 >= 0 else regs[~s1]) + b_const) & ~7
+            append(PInstSpec(
+                klass, addr if addr > 0 else 0, deps, livein, is_target
+            ))
+            if keep:
+                values[idx] = memory_get(addr, 0) if addr >= 0 else 0
+        else:
             # Branch pre-execution: evaluate the outcome and attach the
             # hint; executes as a single-cycle compare.
-            a, b2 = read(inst.rs1), read(inst.rs2)
-            taken = inst.evaluate_branch(a, b2)
-            insts.append(
-                PInstSpec(
-                    klass=PInstClass.ALU,
-                    body_deps=tuple(dict.fromkeys(body_deps)),
-                    livein_seqs=tuple(dict.fromkeys(livein_seqs)),
-                    hint_branch_seq=hint_seq,
-                    hint_taken=taken,
-                )
+            taken = fn(
+                values[s1] if s1 >= 0 else regs[~s1],
+                values[s2] if s2 >= 0 else regs[~s2],
             )
-            continue
-        if op.op_class is OpClass.LOAD:
-            base = read(inst.rs1)
-            addr = (base + (inst.imm or 0)) & ~7
-            value = state.read_word(addr) if addr >= 0 else 0
-            insts.append(
-                PInstSpec(
-                    klass=PInstClass.LOAD,
-                    addr=max(0, addr),
-                    body_deps=tuple(dict.fromkeys(body_deps)),
-                    livein_seqs=tuple(dict.fromkeys(livein_seqs)),
-                    is_target=inst.pc in target_set,
-                )
-            )
-        else:  # ALU / MUL (p-threads contain no stores or branches)
-            if op is Op.LI:
-                a, b = 0, inst.imm
-            elif op is Op.MOV:
-                a, b = read(inst.rs1), 0
-            elif op in IMMEDIATE_OPS:
-                a, b = read(inst.rs1), inst.imm
-            else:
-                a, b = read(inst.rs1), read(inst.rs2)
-            value = inst.evaluate_alu(a, b)
-            insts.append(
-                PInstSpec(
-                    klass=_pinst_class(inst),
-                    body_deps=tuple(dict.fromkeys(body_deps)),
-                    livein_seqs=tuple(dict.fromkeys(livein_seqs)),
-                )
-            )
-        if inst.rd is not None:
-            local_values[inst.rd] = value
-            local_writer[inst.rd] = idx
-
-    return SpawnSpec(
-        trigger_seq=trigger_seq,
-        static_id=pthread.pthread_id,
-        insts=tuple(insts),
-    )
+            append(PInstSpec(klass, -1, deps, livein, False, hint_seq, taken))
+    return SpawnSpec(trigger_seq, static_id, tuple(insts))
 
 
 # --------------------------------------------------------------------- #
@@ -147,7 +196,7 @@ _TRACE_ADOPTIONS = obs.counters.counter("ddmt.augment.trace_adoptions")
 
 def _content_key(pthread: StaticPThread) -> Tuple:
     """Behavioral identity of a static p-thread for expansion purposes:
-    everything ``_expand_body`` and hint targeting can observe."""
+    everything ``_decode_body`` and hint targeting can observe."""
     return (
         pthread.trigger_pc,
         pthread.hint_offset,
@@ -233,17 +282,23 @@ def expand_pthreads(
             by_trigger.setdefault(pthreads[i].trigger_pc, []).append(i)
 
         def make_hook(candidates: List[int]):
+            # Bodies are decoded once per call, before the replay.
+            entries = [
+                (collected[i].append, _decode_body(pthreads[i]),
+                 pthreads[i])
+                for i in candidates
+            ]
+
             def hook(seq: int, state: InterpreterState) -> None:
-                for i in candidates:
-                    pthread = pthreads[i]
+                for add, plan, pthread in entries:
                     hint_seq = (
                         hint_target(pthread, seq)
                         if pthread.is_branch_pthread
                         else -1
                     )
-                    collected[i].append(
-                        _expand_body(pthread, seq, state, hint_seq=hint_seq)
-                    )
+                    add(_expand_plan(
+                        plan, pthread.pthread_id, seq, state, hint_seq
+                    ))
 
             return hook
 

@@ -22,6 +22,7 @@ from repro.config import (
     SelectionConfig,
     SimulationConfig,
 )
+from repro.cpu.engine import kernel_impl
 from repro.cpu.pipeline import simulate
 from repro.cpu.stats import SimStats
 from repro.ddmt.augment import expand_pthreads
@@ -78,10 +79,13 @@ class ExperimentResult:
     #: computed|simcache, ``baseline``: simulated|memo|simcache,
     #: ``optimized``: simulated|memo, ``trace``: interpreted|memo (did
     #: this run pay for interpretation, or was the trace served from the
-    #: per-process :mod:`repro.frontend.tracestore`?).  Rows expose
-    #: these as ``src_*`` columns so cached cells are distinguishable
-    #: from simulated ones (the bench cold-phase report filters on
-    #: them), and a ``t_trace`` of 0.0 is explainable.
+    #: per-process :mod:`repro.frontend.tracestore`?), ``impl``: c|python
+    #: (which implementation ran the compiled layers -- the cost model's
+    #: forward pass and the cycle kernel -- per the one probe both use,
+    #: :func:`repro.cpu.engine.kernel_impl`).  Rows expose these as
+    #: ``src_*`` columns so cached cells are distinguishable from
+    #: simulated ones (the bench cold-phase report filters on them), and
+    #: a ``t_trace`` of 0.0 is explainable.
     provenance: Dict[str, str] = field(default_factory=dict)
     #: Distributed-trace lineage: the ``trace_id`` active while this
     #: result was produced (or served from cache), joining the result
@@ -559,6 +563,7 @@ def run_experiment(
             "baseline": base_phases.get("src", "simulated"),
             "optimized": "memo" if opt_cached else "simulated",
             "trace": src_trace,
+            "impl": kernel_impl(),
         },
         trace_id=ctx.trace_id if ctx is not None else None,
     )

@@ -78,3 +78,29 @@ def test_cross_input_expansion_adopts_the_run_trace(monkeypatch):
         assert cell() == adopted
     finally:
         memo.clear_all()
+
+
+def test_src_impl_names_the_implementation_that_ran(monkeypatch):
+    # src_impl comes from the same artifact probe the forward pass and
+    # the cycle kernel consult: forcing it unavailable runs both Python
+    # mirrors and must say so, with identical simulated columns.
+    from repro.cpu import nativebuild
+
+    def cell():
+        memo.clear_all()
+        try:
+            with simcache.disabled():
+                return result_row(
+                    experiment.run_experiment("gap", Target.LATENCY)
+                )
+        finally:
+            memo.clear_all()
+
+    default = cell()
+    assert default["src_impl"] == (
+        "c" if nativebuild.load() is not None else "python"
+    )
+    monkeypatch.setattr(nativebuild, "load", lambda: None)
+    fallback = cell()
+    assert fallback["src_impl"] == "python"
+    assert _strip(fallback) == _strip(default)
